@@ -153,6 +153,7 @@ def _phi_coeff_matrix(process: ProcessKind, xi: cfg.PointConfiguration) -> np.nd
     out = np.empty((n, n))
     for k, u in enumerate(sup):
         out[:, k] = cfg.phi_coeffs(xi, u)
+    out.setflags(write=False)
     return out
 
 
@@ -166,6 +167,7 @@ def _twotime_coeff_matrix(
     out = np.empty((d, len(sup)))
     for k, u in enumerate(sup):
         out[:, k] = cfg.phi_twotime_coeffs(process, xi, u, s, x)
+    out.setflags(write=False)
     return out
 
 

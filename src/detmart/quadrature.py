@@ -15,17 +15,22 @@ import numpy as np
 from .errors import NumericError
 
 
+def _frozen(*arrays):
+    """Marks the arrays read-only: every caller of a cached rule shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
 @lru_cache(maxsize=64)
 def gauss_hermite(n: int):
     """Nodes/weights for integral of f(x) e^{-x^2} dx over R."""
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w
+    return _frozen(*np.polynomial.hermite.hermgauss(n))
 
 
 @lru_cache(maxsize=64)
@@ -42,7 +47,7 @@ def gauss_laguerre_general(alpha: float, n: int):
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(jac)
     weights = math.gamma(alpha + 1.0) * vecs[0, :] ** 2
-    return vals, weights
+    return _frozen(vals, weights)
 
 
 def gauss_legendre_panel(f, a: float, b: float, n: int) -> float:

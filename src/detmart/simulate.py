@@ -8,9 +8,15 @@ and is the ground truth the walk estimators are tested against.
 
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
-blocks are distributed over workers.  Observables receive positions sorted
-within each time slice (the unlabeled configuration) as an array of shape
-(paths, times, particles) and must return one value per path.
+blocks are distributed over workers.  The imaginary companions of a block
+come from one loop, ``_companion_block``, on a stream of their own: keyed
+by (seed2, block) in ``attach_companions`` (the CLI passes seed + 1) and
+by (seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  The walk's
+C(t) sampler draws a data-dependent number of variates from that stream,
+so its output still depends on (seed, block) alone.  Observables receive
+positions sorted within each time slice (the unlabeled configuration) as
+an array of shape (paths, times, particles) and must return one value
+per path.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
+_COMPANION_KEY = 0x9E3779B97F4A7C15
 
 
 def stream(seed: int, block: int) -> np.random.Generator:
@@ -181,28 +188,37 @@ def _sample_free_block(process, u, ts, size, rng):
     return out
 
 
+def _companion_block(process, ts, size, n_particles, rng):
+    """One block of imaginary companions at the times ``ts``: Brownian for
+    BM/BES, time-changed Brownian W(C(t)) for the walk."""
+    out = np.empty((size, len(ts), n_particles))
+    state = np.zeros((size, n_particles))
+    prev_t = 0.0
+    for m, t in enumerate(ts):
+        dt = t - prev_t
+        if dt > 0:
+            if process.tag == "RW":
+                dc = mart.sample_ctime(dt, rng, size=state.shape)
+                state = state + np.sqrt(dc) * rng.standard_normal(state.shape)
+            else:
+                state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
+        out[:, m, :] = state
+        prev_t = t
+    return out
+
+
 def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
     """Independent imaginary parts: Brownian for BM/BES, time-changed
-    Brownian W(C(t)) for the walk."""
+    Brownian W(C(t)) for the walk, drawn from the streams of ``seed2``."""
     proc = ens.process
     if proc.tag not in ("BM", "BES", "RW"):
         raise DomainError(f"no complex companion defined for {proc}")
     comp = np.empty_like(ens.paths)
     n_particles = ens.paths.shape[2]
     for block, start, size in _blocks(ens.n_paths):
-        rng = stream(seed2, block)
-        state = np.zeros((size, n_particles))
-        prev_t = 0.0
-        for m, t in enumerate(ens.times):
-            dt = t - prev_t
-            if dt > 0:
-                if proc.tag == "RW":
-                    dc = mart.sample_ctime(dt, rng, size=(size, n_particles))
-                    state = state + np.sqrt(dc) * rng.standard_normal(state.shape)
-                else:
-                    state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
-            comp[start : start + size, m, :] = state
-            prev_t = t
+        comp[start : start + size] = _companion_block(
+            proc, ens.times, size, n_particles, stream(seed2, block)
+        )
     return PathEnsemble(
         process=proc,
         times=ens.times,
@@ -352,20 +368,10 @@ def cpr_expectation(
     def one_block(block, size):
         rng = stream(seed, block)
         paths = _sample_free_block(process, u, grid, size, rng)
-        # imaginary companions, one stream offset away from the real draws
-        rng2 = stream(seed ^ 0x9E3779B97F4A7C15, block)
-        comp = np.zeros((size, len(u)))
-        prev_t = 0.0
-        for t in grid:
-            dt = t - prev_t
-            if dt > 0:
-                if process.tag == "RW":
-                    dc = mart.sample_ctime(dt, rng2, size=comp.shape)
-                    comp = comp + np.sqrt(dc) * rng2.standard_normal(comp.shape)
-                else:
-                    comp = comp + math.sqrt(dt) * rng2.standard_normal(comp.shape)
-            prev_t = t
-        z_end = paths[:, -1, :] + 1j * comp
+        comp = _companion_block(
+            process, grid, size, len(u), stream(seed ^ _COMPANION_KEY, block)
+        )
+        z_end = paths[:, -1, :] + 1j * comp[:, -1, :]
         weights = cpr_weight(process, xi, horizon, z_end)
         obs = np.asarray(
             observable(np.sort(paths[:, : len(ts), :], axis=2)), dtype=float

@@ -5,7 +5,7 @@ import pytest
 
 from detmart import configurations as cfg
 from detmart import kernels as ker
-from detmart import specfun
+from detmart import quadrature, specfun
 from detmart.errors import DomainError
 from detmart.processes import besq, bm
 
@@ -30,6 +30,22 @@ class TestKernelEval:
         xi = cfg.PointConfiguration.from_points([0.0])
         k = ker.rw_kernel(xi)
         assert ker.kernel_eval(k, 1, 1, 1, 1) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "cached",
+        [
+            lambda xi: ker._phi_coeff_matrix(bm(), xi),
+            lambda xi: ker._twotime_coeff_matrix(bm(), xi, 1.0, 0.5),
+            lambda xi: quadrature.gauss_legendre(8)[1],
+            lambda xi: quadrature.gauss_hermite(8)[0],
+            lambda xi: quadrature.gauss_laguerre_general(0.5, 8)[1],
+        ],
+    )
+    def test_cached_arrays_are_read_only(self, cached):
+        # lru_cache hands the same array to every caller
+        arr = cached(cfg.PointConfiguration.from_points([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
     def test_rw_parity_zero(self):
         xi = cfg.PointConfiguration.from_points([0.0])

@@ -234,14 +234,29 @@ class TestCtime:
         samples = mart.sample_ctime(1.0, rng, size=5000)
         assert (samples > 0).all()
 
-    def test_laplace_transform(self):
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
+    def test_laplace_transform(self, lam, t):
         rng = np.random.default_rng(102)
-        lam, t = 0.5, 3.0
         samples = mart.sample_ctime(t, rng, size=100_000)
         vals = np.exp(-lam * samples)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         want = math.cosh(math.sqrt(2 * lam)) ** (-t)
         assert abs(vals.mean() - want) <= 4 * se
+
+    def test_variance_is_two_thirds_t(self):
+        rng = np.random.default_rng(103)
+        t = 2.0
+        samples = mart.sample_ctime(t, rng, size=100_000)
+        var = samples.var(ddof=1)
+        dev2 = (samples - samples.mean()) ** 2
+        se = dev2.std(ddof=1) / math.sqrt(len(samples))
+        assert abs(var - 2 * t / 3) <= 4 * se
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 0.5, 1.5, math.nan, math.inf])
+    def test_rejects_non_integer_time(self, t):
+        with pytest.raises(DomainError):
+            mart.sample_ctime(t, np.random.default_rng(104), size=10)
 
 
 class TestBesMartingalePieces:

@@ -190,6 +190,14 @@ class TestCpr:
         b = sim.dmr_expectation(rw(), xi, F, [2], 30_000, seed=19)
         assert abs(a.mean.real - b.mean) <= 4 * a.combined_se(b)
 
+    def test_rw_same_for_any_worker_count(self):
+        # the C(t) sampler draws a data-dependent number of variates per block
+        xi = simple(0.0, 2.0)
+        n = 3 * sim.BLOCK + 5
+        serial = sim.cpr_expectation(rw(), xi, ones, [1, 3], n, seed=20)
+        pooled = sim.cpr_expectation(rw(), xi, ones, [1, 3], n, seed=20, workers=2)
+        assert serial == pooled
+
 
 class TestNoncollidingRw:
     def test_single_particle_free_law(self):
