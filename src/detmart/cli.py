@@ -117,20 +117,10 @@ def _estimate_payload(est: sim.Estimate) -> dict:
 # kernel
 # --------------------------------------------------------------------------
 
-_KERNEL_VARIANTS = (
-    "general",
-    "rw",
-    "multipoint",
-    "extended_hermite",
-    "extended_laguerre",
-    "sine",
-    "bessel",
-)
-
 
 def _build_kernel(kconf: dict) -> ker.CorrelationKernel:
     variant = kconf.get("variant")
-    if variant not in _KERNEL_VARIANTS:
+    if variant not in ker.VARIANTS:
         raise ConfigError(f"unknown kernel variant {variant!r}")
     if variant in ("general", "rw", "multipoint"):
         xi = cfg.PointConfiguration.from_dict(_require(kconf, "xi", dict))

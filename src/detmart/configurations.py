@@ -117,15 +117,22 @@ def _normalize_atoms(raw) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def vandermonde(x: Sequence[float]) -> float:
-    """prod_{j < k} (x_k - x_j); 1 for a single entry."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    out = 1.0
+def vandermonde(x):
+    """prod_{j < k} (x_k - x_j) over the last axis; 1 for a single entry.
+
+    ``x`` has shape (..., N); a floating dtype is kept (longdouble stays
+    longdouble), anything else becomes float.  A 1-D float input gives a
+    Python float.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    n = x.shape[-1]
+    out = np.ones(x.shape[:-1], dtype=x.dtype)
     for j in range(n):
         for k in range(j + 1, n):
-            out *= x[k] - x[j]
-    return float(out)
+            out *= x[..., k] - x[..., j]
+    return float(out) if x.ndim == 1 and x.dtype == np.float64 else out[()]
 
 
 def phi_simple(xi: PointConfiguration, u: float, z):
@@ -352,13 +359,7 @@ def det_phi_identity_check(xi: PointConfiguration, x: Sequence[float]):
     xl = np.asarray(x, dtype=np.longdouble)
     ul = np.asarray(u, dtype=np.longdouble)
     n = len(u)
-    lhs_num = np.longdouble(1.0)
-    lhs_den = np.longdouble(1.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            lhs_num *= xl[k] - xl[j]
-            lhs_den *= ul[k] - ul[j]
-    lhs = float(lhs_num / lhs_den)
+    lhs = float(vandermonde(xl) / vandermonde(ul))
     mat = np.empty((n, n), dtype=np.longdouble)
     for k in range(n):
         col = np.ones(n, dtype=np.longdouble)

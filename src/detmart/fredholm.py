@@ -1,22 +1,23 @@
-"""Truncated Fredholm determinants of the finite-rank correlation kernels.
+"""Fredholm determinants of the finite-rank correlation kernels.
 
 Three routes to the same moment generating function
 E[prod_m prod_j (1 + chi_{t_m}(V_j(t_m))) * det-weight]:
 
-  * ``fredholm_series``     the block-determinant multi-sum, quadrature or
-                            exact site sums,
+  * ``fredholm_series``     the Nystrom determinant det(I + K diag(w chi))
+                            over the stacked nodes of every time slice,
+                            quadrature or exact site sums,
   * ``finite_rank_det``     the N x N shortcut det(I + A) available at a
                             single time,
   * ``mgf_monte_carlo``     the direct weighted Monte Carlo.
 
-The multi-sum truncates block sizes at the particle number N; higher
-blocks vanish by rank, which ``rank_overflow_probe`` verifies empirically.
+The Nystrom determinant (F. Bornemann, "On the numerical evaluation of
+Fredholm determinants", Math. Comp. 79 (2010), arXiv:0804.2543) is the
+principal-minor expansion of the Fredholm series over the quadrature nodes,
+so it needs no truncation of block sizes.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +37,6 @@ __all__ = [
     "fredholm_series",
     "finite_rank_det",
     "mgf_monte_carlo",
-    "rank_overflow_probe",
 ]
 
 
@@ -167,66 +167,37 @@ def _slice_nodes(chi, order: int):
     return pts, wts, chi(pts)
 
 
-def _series_value(kern, spec, order: int, grid_fn=None) -> float:
-    xi = kern.xi
-    if xi is None:
+def _series_value(kern, spec, order: int) -> float:
+    """det(I + K diag(w chi)) on the stacked slice nodes of every time."""
+    if kern.xi is None:
         raise DomainError("the series needs a finite-configuration kernel")
-    if grid_fn is None:
-        grid_fn = lambda s, xs, t, ys: ker.kernel_eval_grid(kern, s, xs, t, ys)
-    rank = len(xi.support())
-    m_times = len(spec.times)
     slices = [_slice_nodes(chi, order) for chi in spec.chis]
-    pair = {}
-    for a in range(m_times):
-        for b in range(m_times):
-            pair[a, b] = grid_fn(
-                spec.times[a], slices[a][0], spec.times[b], slices[b][0]
-            )
-    total = 0.0
-    for sizes in itertools.product(range(rank + 1), repeat=m_times):
-        dim = sum(sizes)
-        if dim == 0:
-            total += 1.0
-            continue
-        slot_time = [m for m, c in enumerate(sizes) for _ in range(c)]
-        node_counts = [len(slices[m][0]) for m in slot_time]
-        sym = 1.0
-        for c in sizes:
-            sym *= math.factorial(c)
-        grids = np.meshgrid(*[np.arange(c) for c in node_counts], indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (combos, dim)
-        chunk = 1 << 18
-        for lo in range(0, idx.shape[0], chunk):
-            sel = idx[lo : lo + chunk]
-            mats = np.empty((sel.shape[0], dim, dim))
-            wprod = np.ones(sel.shape[0])
-            for a in range(dim):
-                ma = slot_time[a]
-                wprod *= (
-                    slices[ma][1][sel[:, a]] * slices[ma][2][sel[:, a]]
-                )
-                for b in range(dim):
-                    mb = slot_time[b]
-                    mats[:, a, b] = pair[ma, mb][sel[:, a], sel[:, b]]
-            total += float(wprod @ np.linalg.det(mats)) / sym
-    return total
+    mat = np.block(
+        [
+            [
+                ker.kernel_eval_grid(kern, s, xs, t, ys)
+                for t, (ys, _, _) in zip(spec.times, slices)
+            ]
+            for s, (xs, _, _) in zip(spec.times, slices)
+        ]
+    )
+    wchi = np.concatenate([w * c for _, w, c in slices])
+    return float(np.linalg.det(np.eye(len(wchi)) + mat * wchi))
 
 
 def fredholm_series(
     kern: ker.CorrelationKernel,
     spec: TestFunctionSpec,
     quad_order: int = 64,
-    monitor: bool = True,
 ) -> float:
-    """Block-determinant expansion of the Fredholm determinant.
+    """Nystrom determinant of the Fredholm series det(I + K chi).
 
-    Gauss-Legendre of ``quad_order`` per continuous dimension, exact sums
-    on site chis; block sizes run to the particle number (higher blocks
-    vanish by rank).  With ``monitor`` the order is doubled once and a
-    shift beyond 1e-6 raises.
+    Gauss-Legendre of ``quad_order`` nodes on each continuous slice, exact
+    sums on site chis.  With any continuous slice the order is doubled once
+    and a shift beyond 1e-6 raises.
     """
     coarse = _series_value(kern, spec, quad_order)
-    if not monitor or all(isinstance(c, SiteChi) for c in spec.chis):
+    if all(isinstance(c, SiteChi) for c in spec.chis):
         return coarse
     fine = _series_value(kern, spec, 2 * quad_order)
     if abs(fine - coarse) > 1e-6:
@@ -282,17 +253,3 @@ def mgf_monte_carlo(
         process, xi, observable, spec.times, n_paths, seed, T=T, workers=workers
     )
 
-
-def rank_overflow_probe(
-    kern: ker.CorrelationKernel, spec: TestFunctionSpec, quad_order: int = 64
-) -> float:
-    """|det| of one (N+1)-point equal-time block; rank forces it to vanish."""
-    xi = kern.xi
-    rank = len(xi.support())
-    t = spec.times[0]
-    pts, _, _ = _slice_nodes(spec.chis[0], max(quad_order, rank + 1))
-    if len(pts) < rank + 1:
-        raise DomainError("need at least N + 1 nodes to probe the rank")
-    sel = pts[: rank + 1]
-    mat = ker.kernel_eval_grid(kern, t, sel, t, sel)
-    return abs(float(np.linalg.det(mat)))

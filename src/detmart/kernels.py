@@ -29,6 +29,7 @@ from .errors import DomainError, NumericError
 from .processes import ProcessKind, bm, besq, rw
 
 __all__ = [
+    "VARIANTS",
     "CorrelationKernel",
     "SpaceTimeQuery",
     "general_kernel",
@@ -53,7 +54,7 @@ __all__ = [
     "relaxation_probe",
 ]
 
-_VARIANTS = (
+VARIANTS = (
     "general",
     "rw",
     "multipoint",
@@ -73,7 +74,7 @@ class CorrelationKernel:
     nu: float | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise DomainError(f"unknown kernel variant {self.variant!r}")
 
 

@@ -17,12 +17,7 @@ _TAGS = ("BM", "BESQ", "BES", "RW")
 
 @dataclass(frozen=True)
 class ProcessKind:
-    """Tagged process selector.
-
-    ``c`` is the constant of the moment-matching integral transform that
-    turns monomials into the process's polynomial martingales: ``i`` for BM
-    and ``-1`` for BESQ.  It is undefined for the other kinds.
-    """
+    """Tagged process selector."""
 
     tag: str
     nu: float | None = None
@@ -35,18 +30,6 @@ class ProcessKind:
                 raise DomainError(f"{self.tag} requires an index nu > -1")
         elif self.nu is not None:
             raise DomainError(f"{self.tag} takes no index")
-
-    @property
-    def c(self) -> complex:
-        if self.tag == "BM":
-            return 1j
-        if self.tag == "BESQ":
-            return -1.0
-        raise DomainError(f"transform constant undefined for {self.tag}")
-
-    @property
-    def discrete(self) -> bool:
-        return self.tag == "RW"
 
     def __str__(self):
         if self.nu is not None:

@@ -115,9 +115,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.paths.shape[0]
 
-    def sorted_positions(self) -> np.ndarray:
-        return np.sort(self.paths, axis=2)
-
 
 def _blocks(n_paths: int):
     start = 0
@@ -414,14 +411,8 @@ def sample_noncolliding_rw(
             out[start : start + size, record[0], :] = state
         for step in range(1, horizon + 1):
             cand = state[:, None, :] + moves[None, :, :]  # (size, 2^n, n)
-            h_new = np.ones(cand.shape[:2])
-            for a in range(n):
-                for b in range(a + 1, n):
-                    h_new *= cand[:, :, b] - cand[:, :, a]
-            h_old = np.ones(size)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    h_old *= state[:, b] - state[:, a]
+            h_new = cfg.vandermonde(cand)
+            h_old = cfg.vandermonde(state)
             weights = np.maximum(h_new, 0.0) / (2.0**n * h_old[:, None])
             total = weights.sum(axis=1)
             if np.max(np.abs(total - 1.0)) > 1e-9:
@@ -578,11 +569,7 @@ def brute_force_rw(
         weights = det_weight(rw(), xi, horizon, end)
         free_acc += float(fvals @ weights)
         ordered = (np.diff(pos, axis=1) > 0).all(axis=(1, 2))
-        h_end = np.ones(len(idx))
-        for a in range(n):
-            for b in range(a + 1, n):
-                h_end *= end[:, b] - end[:, a]
-        doob_acc += float(fvals @ (ordered * h_end / h_u))
+        doob_acc += float(fvals @ (ordered * cfg.vandermonde(end) / h_u))
     return free_acc / total, doob_acc / total
 
 

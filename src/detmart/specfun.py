@@ -162,10 +162,6 @@ def gamma(x):
     return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
 
 
-def _lgamma_real(x: float) -> float:
-    return math.lgamma(x)
-
-
 # --------------------------------------------------------------------------
 # Orthogonal polynomials
 # --------------------------------------------------------------------------
@@ -259,7 +255,7 @@ def _bessel_j_miller(nu: float, x: float, want_next: bool = False):
             half = k // 2
             # (nu + 2*half) Gamma(nu + half) / half!
             if nu + half > 0:
-                lc = math.log(nu + k) + _lgamma_real(nu + half) - _lgamma_real(half + 1.0)
+                lc = math.log(nu + k) + math.lgamma(nu + half) - math.lgamma(half + 1.0)
                 norm += math.exp(lc) * fc
             else:  # only possible at k == 0 with nu in (-1, 0]
                 norm += math.gamma(nu + 1.0) * fc
@@ -511,9 +507,9 @@ def rw_transition(t: int, y: int, x: int) -> float:
         return 0.0
     k = (t + d) // 2
     return math.exp(
-        _lgamma_real(t + 1.0)
-        - _lgamma_real(k + 1.0)
-        - _lgamma_real(t - k + 1.0)
+        math.lgamma(t + 1.0)
+        - math.lgamma(k + 1.0)
+        - math.lgamma(t - k + 1.0)
         - t * math.log(2.0)
     )
 
@@ -544,18 +540,3 @@ def transition_density(process: ProcessKind, t, y, x):
         return float(out) if out.ndim == 0 else out
     raise DomainError(f"unsupported process {process}")
 
-
-def besq_density_complex(nu: float, s: float, x: float, zeta):
-    """BESQ density p(s, x | zeta) continued to complex source ``zeta``.
-
-    Entire in zeta: (1/2s) (x/2s)^nu e^{-(x+zeta)/2s} e_nu(x zeta / 4 s^2);
-    agrees with :func:`besq_density` for real zeta >= 0.  Requires x > 0
-    (the destination power (x/2s)^nu is a fixed real constant).
-    """
-    if x <= 0.0:
-        raise DomainError("complex continuation needs destination x > 0")
-    zeta = np.asarray(zeta, dtype=complex)
-    q = x * zeta / (4.0 * s * s)
-    pref = (1.0 / (2.0 * s)) * math.exp(nu * math.log(x / (2.0 * s)))
-    out = pref * np.exp(-(x + zeta) / (2.0 * s)) * entire_bessel_series(nu, q)
-    return complex(out) if out.ndim == 0 else out

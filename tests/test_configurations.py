@@ -53,6 +53,20 @@ class TestVandermonde:
     def test_repeated_entry_zero(self):
         assert cfg.vandermonde([1.0, 1.0, 4.0]) == 0.0
 
+    def test_scalar_is_python_float(self):
+        assert type(cfg.vandermonde([0, 1, 3])) is float
+
+    def test_batched_rows(self):
+        x = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 4.0], [-1.0, 2.0, 0.5]])
+        got = cfg.vandermonde(x)
+        assert got.shape == (3,)
+        assert got.tolist() == [cfg.vandermonde(row) for row in x]
+
+    def test_keeps_longdouble(self):
+        x = np.array([0.0, 1.0, 3.0], dtype=np.longdouble)
+        assert cfg.vandermonde(x).dtype == np.longdouble
+        assert cfg.vandermonde(x[None, :]).dtype == np.longdouble
+
 
 class TestPhiSimple:
     def test_kronecker(self):

@@ -8,7 +8,7 @@ from detmart import fredholm as fred
 from detmart import kernels as ker
 from detmart import simulate as sim
 from detmart import specfun
-from detmart.errors import DomainError
+from detmart.errors import DomainError, NumericError
 from detmart.processes import bm, rw
 
 
@@ -18,6 +18,16 @@ def simple(*points):
 
 def bm_kernel(*points):
     return ker.general_kernel(bm(), simple(*points))
+
+
+def two_time_spec():
+    return fred.TestFunctionSpec(
+        (0.7, 1.4),
+        (
+            fred.ContinuousChi.indicator(-1.0, 1.0, -0.4),
+            fred.ContinuousChi.indicator(0.0, 3.0, 0.6),
+        ),
+    )
 
 
 class TestSpecParsing:
@@ -85,29 +95,46 @@ class TestFredholmSeries:
             spec = fred.TestFunctionSpec(
                 (0.8,), (fred.ContinuousChi.indicator(-0.5, 2.0, -lam),)
             )
-            val = fred.fredholm_series(kern, spec, monitor=False)
+            val = fred.fredholm_series(kern, spec)
             assert 0.0 < val <= 1.0
 
-    def test_gauge_invariance(self):
+    def test_gauge_invariance(self, monkeypatch):
         kern = bm_kernel(0.0, 2.0)
-        spec = fred.TestFunctionSpec(
-            (0.7, 1.4),
-            (
-                fred.ContinuousChi.indicator(-1.0, 1.0, -0.4),
-                fred.ContinuousChi.indicator(0.0, 3.0, 0.6),
-            ),
-        )
+        spec = two_time_spec()
+        plain = fred._series_value(kern, spec, 16)
+        grid = ker.kernel_eval_grid
 
-        def conj_grid(s, xs, t, ys):
-            base = ker.kernel_eval_grid(kern, s, xs, t, ys)
+        def conj_grid(kern, s, xs, t, ys):
             gx = np.exp(-np.asarray(xs) ** 2 / (4 * s))
             gy = np.exp(-np.asarray(ys) ** 2 / (4 * t))
-            return base * gx[:, None] / gy[None, :]
+            return grid(kern, s, xs, t, ys) * gx[:, None] / gy[None, :]
 
-        # the conjugation cancels block by block, at any quadrature order
-        a = fred._series_value(kern, spec, 16)
-        b = fred._series_value(kern, spec, 16, grid_fn=conj_grid)
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+        # D K D^{-1} leaves det(I + K W) unchanged, at any quadrature order
+        monkeypatch.setattr(ker, "kernel_eval_grid", conj_grid)
+        conj = fred._series_value(kern, spec, 16)
+        assert abs(plain - conj) <= 1e-9 * max(1.0, abs(plain))
+
+    def test_matches_block_multisum(self):
+        # the block multi-sum over repeated nodes that the Nystrom determinant
+        # replaced (commit f8d6b4e), _series_value(kern, spec, 16) on this spec
+        multisum_q16 = 1.0860916386179933
+        got = fred._series_value(bm_kernel(0.0, 2.0), two_time_spec(), 16)
+        assert got == pytest.approx(multisum_q16, abs=1e-12)
+
+    def test_two_times_matches_monte_carlo(self):
+        xi = simple(0.0, 2.0)
+        spec = two_time_spec()
+        series = fred.fredholm_series(ker.general_kernel(bm(), xi), spec)
+        est = fred.mgf_monte_carlo(bm(), xi, spec, 100_000, seed=44)
+        assert abs(est.mean - series) <= 4 * est.std_error
+
+    def test_low_order_raises_on_doubling(self):
+        kern = bm_kernel(0.0, 2.0)
+        spec = fred.TestFunctionSpec(
+            (0.8,), (fred.ContinuousChi.indicator(-20.0, 20.0, -0.5),)
+        )
+        with pytest.raises(NumericError):
+            fred.fredholm_series(kern, spec, quad_order=2)
 
 
 class TestFiniteRank:
@@ -206,8 +233,8 @@ class TestMonteCarloRoute:
 
 class TestRankStructure:
     def test_overflow_block_vanishes(self):
+        # N + 1 points at one time: the equal-time kernel has rank N
         kern = bm_kernel(0.0, 2.0)
-        spec = fred.TestFunctionSpec(
-            (0.9,), (fred.ContinuousChi.indicator(-1.0, 3.0, -0.5),)
-        )
-        assert fred.rank_overflow_probe(kern, spec) <= 1e-10
+        pts = np.array([-1.0, 0.4, 1.7])
+        mat = ker.kernel_eval_grid(kern, 0.9, pts, 0.9, pts)
+        assert abs(np.linalg.det(mat)) <= 1e-10

@@ -269,7 +269,7 @@ class TestNoncollidingDiffusion:
         def F(p):
             return np.exp(-0.25 * (p[:, 0, 0] ** 2 + p[:, 0, 1] ** 2))
 
-        vals = F(ens.sorted_positions())
+        vals = F(np.sort(ens.paths, axis=2))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
 
         # quadrature of the h-transform density over the ordered sector
@@ -345,6 +345,6 @@ class TestDmrVsInteractingSampler:
 
         a = sim.dmr_expectation(bm(), xi, F, [t], 60_000, seed=31)
         ens = sim.sample_noncolliding(bm(), xi, [t], 5e-4, 40_000, seed=32)
-        vals = F(ens.sorted_positions())
+        vals = F(np.sort(ens.paths, axis=2))
         b = sim.Estimate.from_samples(vals)
         assert abs(a.mean - b.mean) <= 4 * a.combined_se(b) + 2 * 5e-4

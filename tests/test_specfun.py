@@ -268,18 +268,6 @@ class TestTransitionDensity:
             rhs = specfun.transition_density(besq(nu), 0.8, yv * yv, x * x) * 2 * yv
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_besq_complex_matches_real(self):
-        zeta = np.linspace(0.0, 6.0, 25)
-        for nu in (0.5, -0.2, 3.0):
-            ref = specfun.besq_density(nu, 0.7, 2.0, 0.0) * 0  # shape helper
-            vals = specfun.besq_density_complex(nu, 0.7, 2.0, zeta.astype(complex))
-            # p(s, x | zeta) with destination x: compare against the real
-            # density of going from zeta to x
-            direct = np.array(
-                [specfun.besq_density(nu, 0.7, 2.0, float(z)) for z in zeta]
-            )
-            assert np.max(np.abs(vals - direct)) < 1e-12
-
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             specfun.transition_density(bm(), -1.0, 0.0, 0.0)
