@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,6 +55,26 @@ def _require(config: dict, field: str, kind=None):
     if kind is not None and not isinstance(cur, kind):
         raise ConfigError(f"config field '{field}' has the wrong type")
     return cur
+
+
+def _number(value, field: str, positive_int: bool = False):
+    """A finite JSON number (a positive integer if asked), else ConfigError."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if positive_int:
+        ok = ok and isinstance(value, int) and value > 0
+    if not ok:
+        kind = "a positive integer" if positive_int else "a finite number"
+        raise ConfigError(f"config field '{field}' must be {kind}")
+    return value if positive_int else float(value)
+
+
+def _numbers(values, field: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"config field '{field}' must be a list")
+    return [_number(v, field) for v in values]
 
 
 def _load_config(path: str) -> dict:
@@ -96,6 +117,11 @@ def _mc_params(config: dict):
     return seed, n_paths, workers
 
 
+def _horizon(config: dict):
+    horizon = config.get("horizon")
+    return None if horizon is None else _number(horizon, "horizon")
+
+
 def _json_dump(obj, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -134,28 +160,27 @@ def _build_kernel(kconf: dict) -> ker.CorrelationKernel:
         return ker.extended_hermite_kernel(_require(kconf, "size", int))
     if variant == "extended_laguerre":
         return ker.extended_laguerre_kernel(
-            _require(kconf, "size", int), float(_require(kconf, "nu", (int, float)))
+            _require(kconf, "size", int), _number(_require(kconf, "nu"), "kernel.nu")
         )
     if variant == "sine":
         return ker.sine_kernel()
-    return ker.bessel_kernel(float(_require(kconf, "nu", (int, float))))
+    return ker.bessel_kernel(_number(_require(kconf, "nu"), "kernel.nu"))
 
 
 def cmd_kernel(config: dict) -> int:
     kconf = _require(config, "kernel", dict)
     kernel = _build_kernel(kconf)
     grid = _require(config, "grid", dict)
-    svals = [float(v) for v in grid.get("s", [])]
-    xvals = [float(v) for v in grid.get("x", [])]
-    tvals = [float(v) for v in grid.get("t", [])]
-    yvals = [float(v) for v in grid.get("y", [])]
+    svals, xvals, tvals, yvals = (
+        _numbers(grid.get(axis, []), f"grid.{axis}") for axis in "sxty"
+    )
     path = _require(config, "output.path", str)
     rows = []
     for s in svals:
-        for x in xvals:
-            for t in tvals:
-                for y in yvals:
-                    rows.append((s, x, t, y, ker.kernel_eval(kernel, s, x, t, y)))
+        blocks = [ker.kernel_eval_grid(kernel, s, xvals, t, yvals) for t in tvals]
+        for i, x in enumerate(xvals):
+            for t, block in zip(tvals, blocks):
+                rows.extend((s, x, t, y, v) for y, v in zip(yvals, block[i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,x,t,y,value\n")
         for row in rows:
@@ -180,13 +205,13 @@ def cmd_kernel(config: dict) -> int:
 def cmd_simulate(config: dict) -> int:
     proc = process_from_dict(_require(config, "process", dict))
     xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
-    times = [float(t) for t in _require(config, "times", list)]
+    times = _numbers(_require(config, "times"), "times")
     seed, n_paths, _ = _mc_params(config)
     sampler = config.get("sampler", "free")
     if sampler == "free":
         ens = sim.sample_free(proc, xi.points(), times, n_paths, seed)
     elif sampler == "noncolliding":
-        dt = float(config.get("dt", 1e-3))
+        dt = _number(config.get("dt", 1e-3), "dt")
         ens = sim.sample_noncolliding(proc, xi, times, dt, n_paths, seed)
     elif sampler == "noncolliding_rw":
         ens = sim.sample_noncolliding_rw(xi, times, n_paths, seed)
@@ -229,14 +254,14 @@ def _build_observable(oconf: dict):
     if kind == "one":
         return lambda p: np.ones(p.shape[0])
     if kind == "all_ge":
-        h = float(_require(oconf, "threshold", (int, float)))
+        h = _number(_require(oconf, "threshold"), "observable.threshold")
 
         def all_ge(p):
             return (p[:, -1, :] >= h).all(axis=1).astype(float)
 
         return all_ge
     if kind == "set_equals":
-        sites = np.sort(np.array([float(s) for s in _require(oconf, "sites", list)]))
+        sites = np.sort(_numbers(_require(oconf, "sites"), "observable.sites"))
 
         def set_equals(p):
             if p.shape[2] != len(sites):
@@ -250,10 +275,10 @@ def _build_observable(oconf: dict):
 def cmd_estimate(config: dict) -> int:
     proc = process_from_dict(_require(config, "process", dict))
     xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
-    times = [float(t) for t in _require(config, "times", list)]
+    times = _numbers(_require(config, "times"), "times")
     observable = _build_observable(_require(config, "observable", dict))
     seed, n_paths, workers = _mc_params(config)
-    horizon = config.get("horizon")
+    horizon = _horizon(config)
     estimator = config.get("estimator", "dmr")
     if estimator == "dmr":
         est = sim.dmr_expectation(
@@ -283,15 +308,16 @@ def cmd_fredholm(config: dict) -> int:
     kernel = ker.general_kernel(proc, xi)
     payload = {"schema": SCHEMA, "config": config}
     if route == "series":
-        payload["value"] = fred.fredholm_series(
-            kernel, spec, quad_order=int(config.get("quad_order", 64))
+        quad_order = _number(
+            config.get("quad_order", 64), "quad_order", positive_int=True
         )
+        payload["value"] = fred.fredholm_series(kernel, spec, quad_order=quad_order)
     elif route == "finite_rank":
         payload["value"] = fred.finite_rank_det(kernel, spec)
     elif route == "mc":
         seed, n_paths, workers = _mc_params(config)
         est = fred.mgf_monte_carlo(
-            proc, xi, spec, n_paths, seed, T=config.get("horizon"), workers=workers
+            proc, xi, spec, n_paths, seed, T=_horizon(config), workers=workers
         )
         payload["value"] = est.mean
         payload["estimate"] = _estimate_payload(est)
@@ -321,7 +347,7 @@ def cmd_oconnell(config: dict) -> int:
             params.h,
             n_paths,
             seed,
-            dt=float(config.get("dt", 5e-4)),
+            dt=_number(config.get("dt", 5e-4), "dt"),
         )
     else:
         raise ConfigError(f"unknown oconnell route {route!r}")

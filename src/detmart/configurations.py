@@ -86,7 +86,7 @@ class PointConfiguration:
     def from_dict(cls, d: dict) -> "PointConfiguration":
         try:
             atoms = tuple((float(a[0]), int(a[1])) for a in d["atoms"])
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise DomainError(f"bad configuration payload: {exc}") from exc
         return cls(atoms)
 

@@ -12,6 +12,12 @@ configurations (full integer lattice, squared Bessel zeros), the latter
 evaluated by an exact image resummation: the naive site sum is a
 difference of terms of size exp(pi^2 (t + tau) / 2) with an O(1) result,
 hopeless in double precision already for tau around 4.
+
+``kernel_eval_grid`` is the one evaluation path: the matrix of K over
+xs x ys at one time pair, computed natively for every variant
+(``kernel_eval`` is its single cell).  The closed forms broadcast over x
+and y; the sine and Bessel integrals share one adaptive panel tree per
+grid.  ``correlation`` assembles one grid block per pair of query times.
 """
 
 from __future__ import annotations
@@ -172,41 +178,16 @@ def _twotime_coeff_matrix(
     return out
 
 
-def _rw_parity_ok(t: float, x: float) -> bool:
-    return (
-        t >= 0
-        and float(t).is_integer()
-        and float(x).is_integer()
-        and (int(t) + int(x)) % 2 == 0
-    )
+def _rw_parity_ok(t: float, x: np.ndarray) -> np.ndarray:
+    """Sites x a walk can occupy at time t: integer t >= 0, t + x even."""
+    if t < 0 or not float(t).is_integer():
+        return np.zeros(x.shape, dtype=bool)
+    return (x == np.floor(x)) & ((t + x) % 2 == 0)
 
 
 def kernel_eval(kern: CorrelationKernel, s: float, x: float, t: float, y: float) -> float:
-    """Evaluate the kernel at (s, x; t, y)."""
-    v = kern.variant
-    if v == "general":
-        return float(kernel_eval_grid(kern, s, np.array([x]), t, np.array([y]))[0, 0])
-    if v == "rw":
-        return float(kernel_eval_grid(kern, s, np.array([x]), t, np.array([y]))[0, 0])
-    if v == "multipoint":
-        proc, xi = kern.process, kern.xi
-        cmat = _twotime_coeff_matrix(proc, xi, float(s), float(x))
-        vals = mart.poly_values(proc, cmat.shape[0] - 1, t, np.array([y]))[0]
-        msum = 0.0
-        for k, u in enumerate(xi.support()):
-            msum += specfun.transition_density(proc, s, x, u) * float(vals @ cmat[:, k])
-        if s > t:
-            msum -= specfun.transition_density(proc, s - t, x, y)
-        return float(msum)
-    if v == "extended_hermite":
-        return kernel_extended_hermite(kern.size, s, x, t, y)
-    if v == "extended_laguerre":
-        return kernel_extended_laguerre(kern.size, kern.nu, s, x, t, y)
-    if v == "sine":
-        return kernel_sine(t - s, y - x)
-    if v == "bessel":
-        return kernel_bessel(kern.nu, t - s, y, x)
-    raise DomainError(f"unknown kernel variant {v!r}")
+    """Evaluate the kernel at (s, x; t, y): ``kernel_eval_grid`` at one cell."""
+    return float(kernel_eval_grid(kern, s, x, t, y)[0, 0])
 
 
 def kernel_eval_grid(
@@ -215,52 +196,41 @@ def kernel_eval_grid(
     """Matrix of kernel values over xs x ys at a fixed time pair."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if kern.variant == "general":
-        proc, xi = kern.process, kern.xi
-        sup = np.array(xi.support())
-        cmat = _phi_coeff_matrix(proc, xi)
-        mvals = mart.poly_values(proc, len(sup) - 1, t, ys) @ cmat  # (ny, N)
-        pvals = np.stack(
-            [specfun.transition_density(proc, s, xs, u) for u in sup], axis=-1
-        )  # (nx, N)
-        out = pvals @ mvals.T
-        if s > t:
-            out -= np.stack(
-                [specfun.transition_density(proc, s - t, xs, yv) for yv in ys],
-                axis=-1,
-            )
-        return out
-    if kern.variant == "rw":
-        xi = kern.xi
-        sup = np.array(xi.support())
-        out = np.zeros((len(xs), len(ys)))
-        ok_x = np.array([_rw_parity_ok(s, xv) for xv in xs])
-        ok_y = np.array([_rw_parity_ok(t, yv) for yv in ys])
-        if not ok_x.any() or not ok_y.any():
-            return out
-        proc = rw()
-        cmat = _phi_coeff_matrix(proc, xi)
-        mvals = mart.poly_values(proc, len(sup) - 1, t, ys) @ cmat
-        pvals = np.stack(
-            [
-                np.array([specfun.rw_transition(int(s), int(xv), int(u)) for xv in xs])
-                for u in sup
-            ],
-            axis=-1,
+    if xs.size == 0 or ys.size == 0:
+        return np.zeros((xs.size, ys.size))
+    x, y = xs[:, None], ys[None, :]
+    v = kern.variant
+    if v == "extended_hermite":
+        return kernel_extended_hermite(kern.size, s, x, t, y)
+    if v == "extended_laguerre":
+        return kernel_extended_laguerre(kern.size, kern.nu, s, x, t, y)
+    if v == "sine":
+        return kernel_sine(t - s, y - x)
+    if v == "bessel":
+        return kernel_bessel(kern.nu, t - s, y, x)
+    # finite configurations: sum_u p(s, x | u) M^u(t, y), where M^u has
+    # monomial coefficients cmat[:, k] (depending on (s, x) for multipoint)
+    proc, xi = kern.process, kern.xi
+    mask = None
+    if v == "rw":
+        mask = np.outer(_rw_parity_ok(s, xs), _rw_parity_ok(t, ys))
+        if not mask.any():
+            return np.zeros(mask.shape)
+    sup = xi.support()
+    pvals = np.stack(
+        [specfun.transition_density(proc, s, xs, u) for u in sup], axis=-1
+    )  # (nx, N)
+    if v == "multipoint":
+        cmat = np.stack(
+            [_twotime_coeff_matrix(proc, xi, float(s), float(xv)) for xv in xs]
         )
-        body = pvals @ mvals.T
-        if s > t:
-            body -= np.array(
-                [
-                    [specfun.rw_transition(int(s - t), int(xv), int(yv)) for yv in ys]
-                    for xv in xs
-                ]
-            )
-        mask = np.outer(ok_x, ok_y)
-        out[mask] = body[mask]
-        return out
-    # fall back to scalar evaluation for the closed-form variants
-    return np.array([[kernel_eval(kern, s, xv, t, yv) for yv in ys] for xv in xs])
+    else:
+        cmat = _phi_coeff_matrix(proc, xi)
+    mvals = mart.poly_values(proc, cmat.shape[-2] - 1, t, ys) @ cmat
+    out = (mvals @ pvals[:, :, None])[..., 0]
+    if s > t:
+        out -= specfun.transition_density(proc, s - t, x, y)
+    return out if mask is None else np.where(mask, out, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -268,11 +238,16 @@ def kernel_eval_grid(
 # --------------------------------------------------------------------------
 
 
-def _hermite_fn(n: int, x: float) -> float:
+def _scalar_or_array(a):
+    a = np.asarray(a)
+    return float(a) if a.ndim == 0 else a
+
+
+def _hermite_fn(n: int, x):
     # orthonormal oscillator function
     return (
         specfun.hermite(n, x)
-        * math.exp(-x * x / 2.0)
+        * np.exp(-x * x / 2.0)
         / math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
     )
 
@@ -282,53 +257,52 @@ def hermite_gauge(s: float, x: float, t: float, y: float) -> float:
     return math.exp(-x * x / (4.0 * s) + y * y / (4.0 * t))
 
 
-def kernel_extended_hermite(size: int, s: float, x: float, t: float, y: float) -> float:
-    """Extended Hermite kernel of rank ``size``.
+def kernel_extended_hermite(size: int, s: float, x, t: float, y):
+    """Extended Hermite kernel of rank ``size``; broadcasts over x and y.
 
     The s > t subtraction uses the Mehler sum form, i.e. the heat kernel
     conjugated by the oscillator gauge; with that convention the
     concentrated-start kernel equals gauge times this one identically.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, yt = x / math.sqrt(2.0 * s), y / math.sqrt(2.0 * t)
     ratio = math.sqrt(t / s)
-    acc = 0.0
+    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for n in range(size):
         acc += ratio**n * _hermite_fn(n, xs) * _hermite_fn(n, yt)
     acc /= math.sqrt(2.0 * s)
     if s > t:
-        acc -= (
-            math.exp(x * x / (4.0 * s) - y * y / (4.0 * t))
-            * specfun.transition_density(bm(), s - t, x, y)
-        )
-    return acc
+        gauge = np.exp(x * x / (4.0 * s) - y * y / (4.0 * t))
+        acc -= gauge * specfun.transition_density(bm(), s - t, x, y)
+    return _scalar_or_array(acc)
 
 
-def _laguerre_fn(n: int, nu: float, x: float) -> float:
+def _laguerre_fn(n: int, nu: float, x):
     return (
         math.sqrt(math.gamma(n + 1.0) / math.gamma(n + nu + 1.0))
         * x ** (nu / 2.0)
         * specfun.laguerre(n, nu, x)
-        * math.exp(-x / 2.0)
+        * np.exp(-x / 2.0)
     )
 
 
-def laguerre_gauge(nu: float, s: float, x: float, t: float, y: float) -> float:
-    num = (x / (2.0 * s)) ** (nu / 2.0) * math.exp(-x / (4.0 * s))
-    den = (y / (2.0 * t)) ** (nu / 2.0) * math.exp(-y / (4.0 * t))
+def laguerre_gauge(nu: float, s: float, x, t: float, y):
+    num = (x / (2.0 * s)) ** (nu / 2.0) * np.exp(-x / (4.0 * s))
+    den = (y / (2.0 * t)) ** (nu / 2.0) * np.exp(-y / (4.0 * t))
     return num / den
 
 
-def kernel_extended_laguerre(
-    size: int, nu: float, s: float, x: float, t: float, y: float
-) -> float:
-    """Extended Laguerre kernel of rank ``size`` and index nu.
+def kernel_extended_laguerre(size: int, nu: float, s: float, x, t: float, y):
+    """Extended Laguerre kernel of rank ``size`` and index nu; broadcasts
+    over x and y.
 
     Same gauge convention as the Hermite variant, with the Hardy-Hille sum
     supplying the s > t subtraction.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, yt = x / (2.0 * s), y / (2.0 * t)
     ratio = t / s
-    acc = 0.0
+    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for n in range(size):
         acc += ratio**n * _laguerre_fn(n, nu, xs) * _laguerre_fn(n, nu, yt)
     acc /= 2.0 * s
@@ -336,7 +310,7 @@ def kernel_extended_laguerre(
         acc -= specfun.transition_density(besq(nu), s - t, x, y) / laguerre_gauge(
             nu, s, x, t, y
         )
-    return acc
+    return _scalar_or_array(acc)
 
 
 # --------------------------------------------------------------------------
@@ -344,54 +318,50 @@ def kernel_extended_laguerre(
 # --------------------------------------------------------------------------
 
 
-def kernel_sine(t: float, x: float, tol: float = 1e-10) -> float:
-    """Extended sine kernel K_sin(t, x)."""
+def kernel_sine(t: float, x, tol: float = 1e-10):
+    """Extended sine kernel K_sin(t, x); vectorized over x."""
+    x = np.asarray(x, dtype=float)
     if t == 0.0:
-        if x == 0.0:
-            return 1.0
-        return math.sin(math.pi * x) / (math.pi * x)
-    if t > 0.0:
-
-        def f(lam):
-            return np.exp(math.pi**2 * lam * lam * t / 2.0) * np.cos(
-                math.pi * lam * x
-            )
-
-        return quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+        return _scalar_or_array(np.sinc(x))
 
     def f(lam):
-        return np.exp(math.pi**2 * lam * lam * t / 2.0) * np.cos(math.pi * lam * x)
+        return np.exp(math.pi**2 * lam * lam * t / 2.0) * np.cos(
+            math.pi * lam * x[..., None]
+        )
 
+    if t > 0.0:
+        return quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
     hi = 1.0 + math.sqrt(100.0 / (math.pi**2 * abs(t) / 2.0))
     return -quadrature.adaptive_gauss_legendre(f, 1.0, hi, tol)
 
 
-def kernel_bessel(nu: float, t: float, y: float, x: float, tol: float = 1e-10) -> float:
-    """Extended Bessel kernel K_J(t, y | x), nu > -1, x, y >= 0."""
+def kernel_bessel(nu: float, t: float, y, x, tol: float = 1e-10):
+    """Extended Bessel kernel K_J(t, y | x), nu > -1, x, y >= 0; broadcasts
+    over x and y."""
     if nu <= -1.0:
         raise DomainError("kernel_bessel requires nu > -1")
-    if x < 0 or y < 0:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x < 0).any() or (y < 0).any():
         raise DomainError("kernel_bessel requires x, y >= 0")
+    sx, sy = np.sqrt(x), np.sqrt(y)
     if t == 0.0:
-        if x == y:
-            if x == 0.0:
-                raise DomainError("equal-time Bessel kernel undefined at the origin")
-            a = math.sqrt(x)
-            jv = specfun.bessel_j(nu, a)
-            jd = specfun.bessel_j_derivative(nu, a)
-            return 0.25 * ((1.0 - nu * nu / x) * jv * jv + jd * jd)
-        sx, sy = math.sqrt(x), math.sqrt(y)
-        return (
-            specfun.bessel_j(nu, sx) * sy * specfun.bessel_j_derivative(nu, sy)
-            - sx * specfun.bessel_j_derivative(nu, sx) * specfun.bessel_j(nu, sy)
-        ) / (2.0 * (x - y))
+        diag = x == y
+        if (diag & (x == 0.0)).any():
+            raise DomainError("equal-time Bessel kernel undefined at the origin")
+        jx, jy = specfun.bessel_j(nu, sx), specfun.bessel_j(nu, sy)
+        # J' at a placeholder where the argument is 0: it enters times 0
+        jdx = specfun.bessel_j_derivative(nu, np.where(x > 0.0, sx, 1.0))
+        jdy = specfun.bessel_j_derivative(nu, np.where(y > 0.0, sy, 1.0))
+        on = 0.25 * ((1.0 - nu * nu / np.where(x > 0.0, x, 1.0)) * jx * jx + jdx * jdx)
+        off = (jx * sy * jdy - sx * jdx * jy) / (2.0 * np.where(diag, 1.0, x - y))
+        return _scalar_or_array(np.where(diag, on, off))
 
     def f(lam):
         root = np.sqrt(lam)
         return (
             np.exp(lam * t / 2.0)
-            * specfun.bessel_j(nu, root * math.sqrt(x))
-            * specfun.bessel_j(nu, root * math.sqrt(y))
+            * specfun.bessel_j(nu, root * sx[..., None])
+            * specfun.bessel_j(nu, root * sy[..., None])
         )
 
     if t > 0.0:
@@ -405,25 +375,18 @@ def kernel_bessel(nu: float, t: float, y: float, x: float, tol: float = 1e-10) -
 # --------------------------------------------------------------------------
 
 
-def correlation(kern, query: SpaceTimeQuery) -> float:
+def correlation(kern: CorrelationKernel, query: SpaceTimeQuery) -> float:
     """Determinant of the block kernel matrix over the query points.
 
-    ``kern`` may be a CorrelationKernel or any callable (s, x, t, y) -> K.
-    Walk queries that violate the time-space parity return 0.
+    One ``kernel_eval_grid`` block per pair of query times.  A walk query
+    point that violates the time-space parity gives a zero row, hence 0.
     """
-    evaluate = kern if callable(kern) else (lambda s, x, t, y: kernel_eval(kern, s, x, t, y))
-    if isinstance(kern, CorrelationKernel) and kern.variant == "rw":
-        for t, row in zip(query.times, query.points):
-            if any(not _rw_parity_ok(t, x) for x in row):
-                return 0.0
-    flat = [(t, x) for t, row in zip(query.times, query.points) for x in row]
-    n = len(flat)
-    if n == 0:
+    if not any(query.points):
         return 1.0
-    matrix = np.empty((n, n))
-    for i, (ti, xi_) in enumerate(flat):
-        for j, (tj, xj) in enumerate(flat):
-            matrix[i, j] = evaluate(ti, xi_, tj, xj)
+    pairs = list(zip(query.times, query.points))
+    matrix = np.block(
+        [[kernel_eval_grid(kern, s, xs, t, ys) for t, ys in pairs] for s, xs in pairs]
+    )
     return float(np.linalg.det(matrix))
 
 

@@ -308,17 +308,18 @@ def sample_ctime(t: float, rng, size=None):
 # --------------------------------------------------------------------------
 
 
-def bes_q_factor(n: int, t: float, z: complex) -> complex:
+def bes_q_factor(n: int, t: float, z):
     """Weight Q_t^{(n+1/2)}(z) of the Bessel-process complex representation.
 
-    (t/2)^n z / (Re z)^{2n+1} * sum_k (2n-k)!/((n-k)! k!) (2 Re z * z / t)^k
+    (t/2)^n z / (Re z)^{2n+1} * sum_k (2n-k)!/((n-k)! k!) (2 Re z * z / t)^k;
+    vectorized over z, a complex for a scalar z.
     """
     if n < 0:
         raise DomainError("bes_q_factor requires n >= 0")
-    z = complex(z)
-    if z.real == 0.0:
+    z = np.asarray(z, dtype=complex)
+    if (z.real == 0.0).any():
         raise DomainError("bes_q_factor undefined on the imaginary axis")
-    acc = 0.0 + 0.0j
+    acc = np.zeros_like(z)
     base = 2.0 * z.real * z / t
     for k in range(n + 1):
         acc += (
@@ -326,7 +327,8 @@ def bes_q_factor(n: int, t: float, z: complex) -> complex:
             / (math.factorial(n - k) * math.factorial(k))
             * base**k
         )
-    return (t / 2.0) ** n * z / z.real ** (2 * n + 1) * acc
+    out = (t / 2.0) ** n * z / z.real ** (2 * n + 1) * acc
+    return complex(out) if out.ndim == 0 else out
 
 
 def bes_transform_monomial(n: int, ell: int, t: float, x: float) -> float:

@@ -2,7 +2,8 @@
 
 Gauss-Legendre and Gauss-Hermite come from numpy; generalized
 Gauss-Laguerre is built by Golub-Welsch.  ``adaptive_gauss_legendre``
-bisects panels until an embedded error estimate meets the tolerance.
+bisects panels until an embedded error estimate meets the tolerance, for
+scalar or vector-valued integrands alike.
 """
 
 from __future__ import annotations
@@ -50,20 +51,21 @@ def gauss_laguerre_general(alpha: float, n: int):
     return _frozen(vals, weights)
 
 
-def gauss_legendre_panel(f, a: float, b: float, n: int) -> float:
+def gauss_legendre_panel(f, a: float, b: float, n: int):
     x, w = gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))
+    return half * np.sum(w * f(mid + half * x), axis=-1)
 
 
-def adaptive_gauss_legendre(
-    f, a: float, b: float, tol: float, max_depth: int = 48
-) -> float:
+def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 48):
     """Integrate a vectorized callable on [a, b] to absolute tolerance.
 
-    Panels bisect until the 32/64-point discrepancy fits a budget that
-    shrinks sublinearly with panel width, so refinement grades into
-    integrable endpoint singularities instead of stalling on them.
+    ``f`` maps the nodes x to values of shape (..., len(x)); the result has
+    shape (...), a float for a scalar integrand.  Panels bisect until the
+    32/64-point discrepancy of every component fits a budget that shrinks
+    sublinearly with panel width, so refinement grades into integrable
+    endpoint singularities instead of stalling on them; all components
+    share one panel tree.
     """
 
     span = abs(b - a)
@@ -72,9 +74,9 @@ def adaptive_gauss_legendre(
         mid = 0.5 * (lo + hi)
         left = gauss_legendre_panel(f, lo, mid, 32)
         right = gauss_legendre_panel(f, mid, hi, 32)
-        err = abs(left + right - coarse)
+        err = np.abs(left + right - coarse)
         budget = 0.25 * tol * (abs(hi - lo) / span) ** 0.6
-        if err <= max(budget, 1e-16 * abs(coarse)):
+        if np.all(err <= np.maximum(budget, 1e-16 * np.abs(coarse))):
             return left + right
         if depth >= max_depth:
             raise NumericError("adaptive quadrature exceeded maximum depth")
@@ -82,4 +84,5 @@ def adaptive_gauss_legendre(
 
     if a == b:
         return 0.0
-    return recurse(a, b, gauss_legendre_panel(f, a, b, 32), 0)
+    out = recurse(a, b, gauss_legendre_panel(f, a, b, 32), 0)
+    return float(out) if np.ndim(out) == 0 else out

@@ -128,6 +128,8 @@ def _blocks(n_paths: int):
 
 def _check_times(process: ProcessKind, times) -> tuple:
     ts = tuple(float(t) for t in times)
+    if not all(math.isfinite(t) for t in ts):
+        raise DomainError("times must be finite")
     if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
         raise DomainError("times must be strictly increasing")
     if any(t < 0 for t in ts):
@@ -268,9 +270,7 @@ def cpr_weight(
         order = process.nu - 0.5
         if order < 0 or order != int(order):
             raise DomainError("complex representation needs index n + 1/2")
-        q = np.empty_like(z)
-        flat = z.reshape(-1)
-        q.reshape(-1)[:] = [mart.bes_q_factor(int(order), T, w) for w in flat]
+        q = mart.bes_q_factor(int(order), T, z)
         for k, u in enumerate(sup):
             mat[..., :, k] = q * _phi_tilde_even(xi, u, z)
     else:

@@ -230,27 +230,27 @@ def entire_bessel_series(nu: float, q):
     return acc
 
 
-def _bessel_j_miller(nu: float, x: float, want_next: bool = False):
-    """J_nu(x) (optionally also J_{nu+1}(x)) by backward recurrence.
+def _bessel_j_miller(nu: float, x):
+    """J_nu(x) and J_{nu+1}(x) for an array of x > 0 by backward recurrence.
 
-    Normalized with the Watson sum
-    (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! * J_{nu+2k}(x).
+    One pass serves every argument, started at the index the largest one
+    needs (a higher start only adds accuracy).  Normalized with the Watson
+    sum (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! * J_{nu+2k}(x).
     """
-    if x <= 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
         raise DomainError("Miller recurrence needs x > 0")
-    start = int(math.ceil(abs(nu) + max(x, 20.0) + 15.0 * x ** (1.0 / 3.0) + 25.0))
-    fp = 0.0  # f_{mu+1}
-    fc = 1e-280  # f_mu, arbitrary tiny seed
-    vals = {}
-    norm = 0.0
-    lg_nu = None
+    xmax = float(x.max())
+    start = int(
+        math.ceil(abs(nu) + max(xmax, 20.0) + 15.0 * xmax ** (1.0 / 3.0) + 25.0)
+    )
+    fp = np.zeros_like(x)  # f_{mu+1}
+    fc = np.full_like(x, 1e-280)  # f_mu, arbitrary tiny seed
+    norm = np.zeros_like(x)
     for k in range(start, -1, -1):
         mu = nu + k
-        fm = (2.0 * (mu + 1.0) / x) * fc - fp  # f_{mu-1} from f_mu, f_{mu+1}
-        fp, fc = fc, fm
-        # fc now holds f_{nu+k}
-        if k in (0, 1):
-            vals[k] = fc
+        # f_{mu-1} from f_mu, f_{mu+1}; fc then holds f_{nu+k}
+        fp, fc = fc, (2.0 * (mu + 1.0) / x) * fc - fp
         if k % 2 == 0:
             half = k // 2
             # (nu + 2*half) Gamma(nu + half) / half!
@@ -259,28 +259,24 @@ def _bessel_j_miller(nu: float, x: float, want_next: bool = False):
                 norm += math.exp(lc) * fc
             else:  # only possible at k == 0 with nu in (-1, 0]
                 norm += math.gamma(nu + 1.0) * fc
-        if abs(fc) > 1e250:
-            fp *= 1e-250
-            fc *= 1e-250
-            norm *= 1e-250
-            vals = {kk: vv * 1e-250 for kk, vv in vals.items()}
-    scale = math.exp(nu * math.log(x / 2.0)) / norm
-    j0 = vals[0] * scale
-    if want_next:
-        return j0, vals[1] * scale
-    return j0
+        big = np.abs(fc) > 1e250
+        if big.any():
+            shrink = np.where(big, 1e-250, 1.0)
+            fp, fc, norm = fp * shrink, fc * shrink, norm * shrink
+    scale = np.exp(nu * np.log(x / 2.0)) / norm
+    return fc * scale, fp * scale
 
 
 def bessel_j(nu: float, x):
     """Bessel function of the first kind, nu > -1, x >= 0.
 
-    Vectorized over x; series below x = 9, Miller recurrence above.
+    Vectorized over x; series below x = 9, one Miller pass above.
     """
     if nu <= -1.0:
         raise DomainError("bessel_j requires nu > -1")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
+    arr = np.atleast_1d(arr)
     if (arr < 0.0).any():
         raise DomainError("bessel_j requires x >= 0")
     out = np.zeros_like(arr)
@@ -293,8 +289,9 @@ def bessel_j(nu: float, x):
         out[small] = np.exp(nu * np.log(xs / 2.0)) * entire_bessel_series(
             nu, -(xs * xs) / 4.0
         )
-    for i in np.nonzero(arr > 9.0)[0]:
-        out[i] = _bessel_j_miller(nu, float(arr[i]))
+    big = arr > 9.0
+    if big.any():
+        out[big] = _bessel_j_miller(nu, arr[big])[0]
     return float(out[0]) if scalar else out
 
 
@@ -323,12 +320,13 @@ def bessel_i(nu: float, x):
     return float(out[0]) if scalar else out
 
 
-def bessel_j_derivative(nu: float, x: float) -> float:
-    """d/dx J_nu(x) via J_nu' = (nu/x) J_nu - J_{nu+1}."""
-    if x <= 9.0:
-        return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
-    j0, j1 = _bessel_j_miller(nu, x, want_next=True)
-    return (nu / x) * j0 - j1
+def bessel_j_derivative(nu: float, x):
+    """d/dx J_nu(x) via J_nu' = (nu/x) J_nu - J_{nu+1}; vectorized, x > 0."""
+    arr = np.asarray(x, dtype=float)
+    if (arr <= 0.0).any():
+        raise DomainError("bessel_j_derivative requires x > 0")
+    out = (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
@@ -464,14 +462,15 @@ def cosh_neg_power_series(t: float, order: int) -> PowerSeriesCoeffs:
 # --------------------------------------------------------------------------
 
 
-def besq_density(nu: float, t: float, y, x: float):
+def besq_density(nu: float, t: float, y, x):
     """BESQ(nu) transition density p(t, y | x) for t > 0, x >= 0, y >= 0.
 
     Single formula covering the x = 0 branch as well:
     p = (1/2t) (y/2t)^nu e^{-(x+y)/2t} e_nu(x y / 4 t^2),
-    since e_nu(0) = 1/Gamma(nu+1).
+    since e_nu(0) = 1/Gamma(nu+1).  Broadcasts over y and x.
     """
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise DomainError("BESQ state must be nonnegative")
     y = np.asarray(y, dtype=float)
     neg = y < 0
@@ -517,15 +516,18 @@ def rw_transition(t: int, y: int, x: int) -> float:
 def transition_density(process: ProcessKind, t, y, x):
     """One-step transition density/probability p(t, y | x) of ``process``.
 
-    Continuous kinds require t > 0 (the t = 0 point mass never reaches this
-    code); RW requires integer t >= 0.
+    Broadcasts over y and x.  Continuous kinds require t > 0 (the t = 0
+    point mass never reaches this code); RW requires integer t >= 0.
     """
     if t < 0:
         raise DomainError("transition_density requires t >= 0")
     if process.tag == "RW":
-        if np.ndim(y) == 0:
+        if np.ndim(y) == 0 and np.ndim(x) == 0:
             return rw_transition(int(t), int(y), int(x))
-        return np.array([rw_transition(int(t), int(yv), int(x)) for yv in y])
+        y, x = np.broadcast_arrays(y, x)
+        return np.array(
+            [rw_transition(int(t), int(a), int(b)) for a, b in zip(y.flat, x.flat)]
+        ).reshape(y.shape)
     if t == 0.0:
         raise DomainError("continuous transition density undefined at t = 0")
     if process.tag == "BM":
@@ -533,10 +535,10 @@ def transition_density(process: ProcessKind, t, y, x):
         out = np.exp(-((y - x) ** 2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
         return float(out) if out.ndim == 0 else out
     if process.tag == "BESQ":
-        return besq_density(process.nu, float(t), y, float(x))
+        return besq_density(process.nu, float(t), y, x)
     if process.tag == "BES":
         y = np.asarray(y, dtype=float)
-        out = besq_density(process.nu, float(t), y * y, float(x) ** 2) * 2.0 * y
+        out = besq_density(process.nu, float(t), y * y, np.square(x)) * 2.0 * y
         return float(out) if out.ndim == 0 else out
     raise DomainError(f"unsupported process {process}")
 

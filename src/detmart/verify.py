@@ -350,7 +350,7 @@ def dmr_bm(seed: int = 4567) -> list:
     lo, hi = -14.0, 14.0
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
     w = 0.5 * (hi - lo) * weights
-    vals = np.array([ker.kernel_extended_hermite(2, t, x, t, x) for x in xs])
+    vals = ker.kernel_extended_hermite(2, t, xs, t, xs)
     out.append(_check("equal-time diagonal integrates to N", abs(float(w @ vals) - 2.0), 1e-5))
 
     # size reduction by Monte Carlo, N=3 to N'=2

@@ -11,6 +11,15 @@ def run(args):
     return cli.main(args)
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_json(path):
+    return json.loads(read_text(path))
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -36,7 +45,7 @@ class TestKernelCommand:
         out = str(tmp_path / "grid.csv")
         assert run(["kernel", self.config(tmp_path, out)]) == 0
         rows = [
-            line.split(",") for line in open(out).read().strip().splitlines()[1:]
+            line.split(",") for line in read_text(out).strip().splitlines()[1:]
         ]
         for row in rows:
             y = float(row[3])
@@ -47,8 +56,8 @@ class TestKernelCommand:
         out = str(tmp_path / "grid.csv")
         config_path = self.config(tmp_path, out)
         assert run(["kernel", config_path]) == 0
-        sidecar = json.load(open(out + ".json"))
-        assert sidecar["config"] == json.load(open(config_path))
+        sidecar = read_json(out + ".json")
+        assert sidecar["config"] == read_json(config_path)
 
     def test_empty_grid_header_only(self, tmp_path):
         out = str(tmp_path / "grid.csv")
@@ -63,7 +72,35 @@ class TestKernelCommand:
             },
         )
         assert run(["kernel", path]) == 0
-        assert open(out).read() == "s,x,t,y,value\n"
+        assert read_text(out) == "s,x,t,y,value\n"
+
+    def test_one_grid_call_per_time_pair(self, tmp_path, monkeypatch):
+        calls = []
+        grid = cli.ker.kernel_eval_grid
+
+        def counted(kern, s, xs, t, ys):
+            calls.append((s, t))
+            return grid(kern, s, xs, t, ys)
+
+        monkeypatch.setattr(cli.ker, "kernel_eval_grid", counted)
+        out = str(tmp_path / "grid.csv")
+        axes = {"s": [0.5, 1.0], "x": [0.0, 0.3], "t": [1.0, 1.5, 2.0], "y": [0.25, 0.5]}
+        path = write_config(
+            tmp_path,
+            {
+                "schema": "detmart/1",
+                "command": "kernel",
+                "kernel": {"variant": "sine"},
+                "grid": axes,
+                "output": {"path": out},
+            },
+        )
+        assert run(["kernel", path]) == 0
+        assert calls == [(s, t) for s in axes["s"] for t in axes["t"]]
+        rows = [tuple(map(float, line.split(",")[:4]))
+                for line in read_text(out).splitlines()[1:]]
+        assert rows == [(s, x, t, y) for s in axes["s"] for x in axes["x"]
+                        for t in axes["t"] for y in axes["y"]]
 
     def test_unknown_variant_exit_2(self, tmp_path):
         out = str(tmp_path / "grid.csv")
@@ -91,7 +128,7 @@ class TestKernelCommand:
             },
         )
         assert run(["kernel", path]) == 0
-        assert len(open(out).read().strip().splitlines()) == 3
+        assert len(read_text(out).strip().splitlines()) == 3
 
 
 class TestSimulateCommand:
@@ -114,12 +151,12 @@ class TestSimulateCommand:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run(["simulate", self.config(tmp_path, out1, seed=9)]) == 0
         assert run(["simulate", self.config(tmp_path, out2, seed=9), "--output", out2]) == 0
-        assert open(out1).read() == open(out2).read()
+        assert read_text(out1) == read_text(out2)
 
     def test_summary_contains_moments(self, tmp_path):
         out = str(tmp_path / "a.csv")
         assert run(["simulate", self.config(tmp_path, out)]) == 0
-        summary = json.load(open(out + ".summary.json"))
+        summary = read_json(out + ".summary.json")
         assert "mean" in summary and "variance" in summary
         assert summary["n_paths"] == 50
 
@@ -164,7 +201,7 @@ class TestEstimateCommand:
             },
         )
         assert run(["estimate", path]) == 0
-        payload = json.load(open(out))
+        payload = read_json(out)
         est = payload["estimate"]
         assert set(est) >= {"mean", "std_error", "n"}
         assert est["n"] == 2000
@@ -189,8 +226,8 @@ class TestEstimateCommand:
         base2["output"] = {"path": out2}
         path2 = write_config(tmp_path, base2, "c2.json")
         assert run(["estimate", path2]) == 0
-        a = json.load(open(out1))["estimate"]
-        b = json.load(open(out2))["estimate"]
+        a = read_json(out1)["estimate"]
+        b = read_json(out2)["estimate"]
         assert a == b
 
 
@@ -218,7 +255,7 @@ class TestFredholmCommand:
                 name=f"{route}.config.json",
             )
             assert run(["fredholm", path]) == 0
-            values[route] = json.load(open(out))["value"]
+            values[route] = read_json(out)["value"]
         assert values["series"] == pytest.approx(values["finite_rank"], abs=1e-8)
 
 
@@ -237,11 +274,80 @@ class TestOconnellCommand:
             },
         )
         assert run(["oconnell", path]) == 0
-        est = json.load(open(out))["estimate"]
+        est = read_json(out)["estimate"]
         assert abs(est["mean"] - 1.0) <= 6 * est["std_error"]
 
 
+# one valid configuration per command; each bad-input case below breaks
+# exactly one field of one of them
+VALID = {
+    "fredholm": {
+        "route": "series",
+        "process": {"kind": "BM"},
+        "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
+        "spec": {"times": [0.8], "chi": [{"support": [-1.0, 2.5], "scale": -0.6}]},
+        "quad_order": 16,
+    },
+    "simulate": {
+        "process": {"kind": "BM"},
+        "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
+        "times": [0.1],
+        "sampler": "noncolliding",
+        "dt": 0.01,
+        "mc": {"n_paths": 10, "seed": 1},
+    },
+    "oconnell": {
+        "route": "reference",
+        "params": {"a": 0.1, "nu_hat": [-1.0, 1.0], "t": 0.1, "h": -1000.0},
+        "dt": 0.01,
+        "mc": {"n_paths": 10, "seed": 1},
+    },
+    "estimate": {
+        "process": {"kind": "BM"},
+        "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
+        "times": [0.5],
+        "observable": {"kind": "one"},
+        "mc": {"n_paths": 10, "seed": 1},
+    },
+    "kernel": {
+        "kernel": {"variant": "sine"},
+        "grid": {"s": [1.0], "x": [0.0], "t": [1.0], "y": [0.5]},
+    },
+}
+
+BAD_INPUTS = [
+    ("fredholm", "quad_order", "abc"),
+    ("fredholm", "quad_order", 0),
+    ("simulate", "dt", "x"),
+    ("oconnell", "dt", "x"),
+    ("simulate", "times", ["a"]),
+    ("simulate", "times", [math.inf]),
+    ("simulate", "times", [math.nan]),
+    ("estimate", "times", [math.nan]),
+    ("kernel", "grid.x", ["a"]),
+    ("estimate", "horizon", "x"),
+    ("estimate", "xi.atoms", [["a", 1]]),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, field, value", BAD_INPUTS, ids=[f"{c}-{f}-{v}" for c, f, v in BAD_INPUTS]
+    )
+    def test_bad_input_exits_2_without_traceback(
+        self, tmp_path, capsys, command, field, value
+    ):
+        config = json.loads(json.dumps(VALID[command]))
+        node = config
+        *parents, leaf = field.split(".")
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        config.update(schema="detmart/1", command=command)
+        config["output"] = {"path": str(tmp_path / "out")}
+        assert run([command, write_config(tmp_path, config)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_numeric_error_maps_to_3(self, tmp_path, monkeypatch):
         from detmart import simulate
         from detmart.errors import NumericError
@@ -271,7 +377,7 @@ class TestVerifyCommand:
     def test_identities_suite_passes(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
         assert run(["verify", "identities", "--output", out]) == 0
-        report = json.load(open(out))
+        report = read_json(out)
         assert all(c["status"] == "pass" for c in report["checks"])
 
     def test_unknown_suite_exit_2(self):
@@ -290,5 +396,5 @@ class TestVerifyCommand:
         monkeypatch.setattr(cfgmod, "phi_simple", corrupted)
         out = str(tmp_path / "report.json")
         assert run(["verify", "identities", "--output", out]) == 1
-        report = json.load(open(out))
+        report = read_json(out)
         assert any(c["status"] == "fail" for c in report["checks"])

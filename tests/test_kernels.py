@@ -53,18 +53,64 @@ class TestKernelEval:
         assert ker.kernel_eval(k, 1, 0, 1, 1) == 0.0
         assert ker.kernel_eval(k, 1, 1, 1, 0) == 0.0
 
-    def test_grid_matches_scalar(self):
-        xi = cfg.PointConfiguration.from_points([0.0, 2.0])
-        k = ker.general_kernel(bm(), xi)
-        s, t = 1.5, 0.8
-        xs = np.array([-0.5, 0.7, 2.0])
-        ys = np.array([0.1, 1.9])
-        grid = ker.kernel_eval_grid(k, s, xs, t, ys)
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                assert grid[i, j] == pytest.approx(
-                    ker.kernel_eval(k, s, xv, t, yv), rel=1e-12, abs=1e-14
-                )
+
+# per variant: the kernel, its x and y axes, and times (lo, hi); every grid
+# runs at t > s, t < s and t = s.  The Bessel axes reach the Miller branch
+# (x > 81) and share values, so its t = s grid has diagonal cells
+GRID_CASES = {
+    "general": (
+        lambda: ker.general_kernel(bm(), cfg.PointConfiguration.from_points([0.0, 2.0])),
+        [-1.0, 0.5, 2.0], [0.3, 2.0], (0.7, 1.3),
+    ),
+    "rw": (
+        lambda: ker.rw_kernel(cfg.PointConfiguration.from_points([0.0, 2.0])),
+        [-2.0, -1.0, 0.0, 1.0, 3.0], [0.0, 1.0, 2.0, 4.0], (2, 4),
+    ),
+    "multipoint": (
+        lambda: ker.multipoint_kernel(besq(0.5), cfg.PointConfiguration(((0.0, 2),))),
+        [0.4, 1.5, 3.0], [0.6, 1.5], (0.6, 1.2),
+    ),
+    "extended_hermite": (
+        lambda: ker.extended_hermite_kernel(3), [-1.5, 0.2, 1.1], [-0.4, 1.1], (0.5, 1.4),
+    ),
+    "extended_laguerre": (
+        lambda: ker.extended_laguerre_kernel(2, 0.5), [0.4, 1.5, 3.0], [0.6, 1.5], (0.6, 1.2),
+    ),
+    "sine": (lambda: ker.sine_kernel(), [-1.0, 0.0, 0.5], [0.0, 0.5, 1.7], (0.4, 1.1)),
+    "bessel": (lambda: ker.bessel_kernel(0.5), [0.5, 20.0, 90.0], [2.0, 20.0, 95.0], (0.4, 1.1)),
+}
+
+
+class TestKernelGrid:
+    @pytest.mark.parametrize("variant", ker.VARIANTS)
+    def test_grid_cells_match_kernel_eval(self, variant):
+        make, xs, ys, (lo, hi) = GRID_CASES[variant]
+        k = make()
+        mid = (lo + hi) // 2 if variant == "rw" else 0.5 * (lo + hi)
+        for s, t in ((lo, hi), (hi, lo), (mid, mid)):
+            grid = ker.kernel_eval_grid(k, s, xs, t, ys)
+            assert grid.shape == (len(xs), len(ys))
+            for i, xv in enumerate(xs):
+                for j, yv in enumerate(ys):
+                    assert grid[i, j] == pytest.approx(
+                        ker.kernel_eval(k, s, xv, t, yv), rel=1e-12
+                    )
+
+    def test_bessel_equal_time_origin_raises(self):
+        k = ker.bessel_kernel(0.5)
+        with pytest.raises(DomainError):
+            ker.kernel_eval_grid(k, 1.0, [0.0, 1.0], 1.0, [0.0, 2.0])
+
+    def test_closed_forms_keep_scalars_scalar(self):
+        vals = [
+            ker.kernel_extended_hermite(3, 0.5, 0.2, 1.4, -0.4),
+            ker.kernel_extended_laguerre(2, 0.5, 1.2, 0.4, 0.6, 1.5),
+            ker.kernel_sine(0.0, 0.3),
+            ker.kernel_sine(-0.7, 0.3),
+            ker.kernel_bessel(0.5, 0.0, 2.0, 20.0),
+            ker.kernel_bessel(0.5, 0.7, 2.0, 20.0),
+        ]
+        assert all(type(v) is float for v in vals)
 
 
 class TestExtendedKernels:
@@ -235,24 +281,35 @@ class TestCorrelation:
             want = km_density(bm(), t2 - t1, x2, x1) * km_density(bm(), t1, x1, u)
             assert abs(got - want) <= 1e-7 * max(1e-12, abs(want))
 
-    def test_gauge_invariance(self):
+    def test_gauge_invariance(self, monkeypatch):
         xi = cfg.PointConfiguration.from_points([0.0, 2.0])
         k = ker.general_kernel(bm(), xi)
-
-        def conjugated(s, x, t, y):
-            return ker.kernel_eval(k, s, x, t, y) * ker.hermite_gauge(s, x, t, y)
-
         rng = np.random.default_rng(23)
+        queries = []
         for _ in range(6):
             t1 = rng.uniform(0.3, 1.0)
             t2 = t1 + rng.uniform(0.2, 1.0)
-            q = ker.SpaceTimeQuery(
+            queries.append(ker.SpaceTimeQuery(
                 (t1, t2),
                 (tuple(np.sort(rng.uniform(-2, 4, 2))), (rng.uniform(-2, 4),)),
-            )
-            a = ker.correlation(k, q)
-            b = ker.correlation(conjugated, q)
+            ))
+        plain = [ker.correlation(k, q) for q in queries]
+        grid = ker.kernel_eval_grid
+        calls = []
+
+        def conj_grid(kern, s, xs, t, ys):
+            # the Hermite gauge exp(-x^2/4s + y^2/4t), a D K D^{-1} conjugation
+            calls.append((s, t))
+            gx = np.exp(-np.asarray(xs) ** 2 / (4 * s))
+            gy = np.exp(-np.asarray(ys) ** 2 / (4 * t))
+            return grid(kern, s, xs, t, ys) * gx[:, None] / gy[None, :]
+
+        monkeypatch.setattr(ker, "kernel_eval_grid", conj_grid)
+        for q, a in zip(queries, plain):
+            b = ker.correlation(k, q)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+        # one conjugated block per pair of query times
+        assert len(calls) == 4 * len(queries)
 
     def test_nonnegative(self):
         xi = cfg.PointConfiguration.from_points([0.0, 2.0])

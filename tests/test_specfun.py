@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from detmart import specfun
+from detmart import quadrature, specfun
 from detmart.errors import DomainError
 from detmart.processes import bes, besq, bm, rw
 
@@ -150,14 +150,17 @@ class TestBessel:
             assert specfun.bessel_j(1.5, x) == pytest.approx(ref, abs=1e-12)
 
     def test_j_seam_consistency(self):
-        # series and Miller branches agree around the x = 9 switch
+        # series and Miller branches agree around the x = 9 switch, and one
+        # array call takes each element through its own branch
+        xs = np.array([8.9, 9.0, 9.1])
         for nu in (0.0, 0.5, 2.3, 11.0, 20.0):
-            for x in (8.9, 9.0, 9.1):
-                j_series = math.exp(nu * math.log(x / 2.0)) * float(
-                    specfun.entire_bessel_series(nu, -(x * x) / 4.0)
-                )
-                j_miller = specfun._bessel_j_miller(nu, x)
-                assert abs(j_series - j_miller) < 1e-11
+            j_series = np.exp(nu * np.log(xs / 2.0)) * specfun.entire_bessel_series(
+                nu, -(xs * xs) / 4.0
+            )
+            j_miller = specfun._bessel_j_miller(nu, xs)[0]
+            assert np.max(np.abs(j_series - j_miller)) < 1e-11
+            want = np.where(xs <= 9.0, j_series, j_miller)
+            assert np.max(np.abs(specfun.bessel_j(nu, xs) - want)) < 1e-15
 
     def test_j_recurrence_large_order(self):
         # 2 nu / x J_nu = J_{nu-1} + J_{nu+1}, exercised at desk-scale x
@@ -271,3 +274,39 @@ class TestTransitionDensity:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             specfun.transition_density(bm(), -1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("proc", [bm(), besq(0.5), bes(1.5), rw()], ids=str)
+    def test_broadcasts_over_start(self, proc):
+        ys = np.array([0.0, 1.0, 2.0, 3.0])
+        xs = np.array([1.0, 3.0])
+        grid = specfun.transition_density(proc, 2.0, ys[:, None], xs[None, :])
+        for i, yv in enumerate(ys):
+            for j, xv in enumerate(xs):
+                want = specfun.transition_density(proc, 2.0, yv, xv)
+                assert grid[i, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+class TestAdaptiveQuadrature:
+    def test_vector_integrand_matches_scalar_calls(self):
+        # smooth, oscillating and root-singular components share one panel tree
+        comps = [
+            lambda x: np.exp(-3.0 * x),
+            lambda x: np.cos(40.0 * x),
+            lambda x: np.sqrt(x),
+            lambda x: np.zeros_like(x),
+        ]
+
+        def f(x):
+            return np.stack([c(x) for c in comps]).reshape(2, 2, -1)
+
+        got = quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, 1e-10)
+        assert got.shape == (2, 2)
+        want = [quadrature.adaptive_gauss_legendre(c, 0.0, 1.0, 1e-10) for c in comps]
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12
+        exact = [(1.0 - math.exp(-3.0)) / 3.0, math.sin(40.0) / 40.0, 2.0 / 3.0, 0.0]
+        assert np.max(np.abs(got.ravel() - exact)) <= 1e-10
+
+    def test_scalar_integrand_gives_float(self):
+        val = quadrature.adaptive_gauss_legendre(np.cos, 0.0, 1.0, 1e-12)
+        assert type(val) is float
+        assert val == pytest.approx(math.sin(1.0), abs=1e-12)
