@@ -13,7 +13,16 @@ come from one loop, ``_companion_block``, on a stream of their own: keyed
 by (seed2, block) in ``attach_companions`` (the CLI passes seed + 1) and
 by (seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  The walk's
 C(t) sampler draws a data-dependent number of variates from that stream,
-so its output still depends on (seed, block) alone.  Observables receive
+so its output still depends on (seed, block) alone.
+
+Noncolliding BM and BESQ paths are exact spectra of matrix diffusions,
+whose increments between observation times come from the (seed, block)
+stream in time order: eigenvalues of diag(u) + H(t), H a Hermitian BM
+(Dyson); for BESQ(nu), integer nu >= 0, squared singular values of the
+(N + nu) x N complex Brownian matrix from [diag(sqrt u); 0]
+(Koenig-O'Connell 2001); for BESQ(1/2), squared positive eigenvalues of
+the class-C matrix [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
+B complex symmetric Brownian (Katori-Tanemura 2004).  Observables receive
 positions sorted within each time slice (the unlabeled configuration) as
 an array of shape (paths, times, particles) and must return one value
 per path.
@@ -50,6 +59,10 @@ __all__ = [
 ]
 
 BLOCK = 4096
+# the noncolliding sampler draws its matrices in chunks of about 2^13
+# entries (128 KB of complex128); one path's matrix may have at most 2^18
+_CHUNK_CELLS = 1 << 13
+_MAX_CELLS = 1 << 18
 _MASK64 = (1 << 64) - 1
 _COMPANION_KEY = 0x9E3779B97F4A7C15
 
@@ -437,13 +450,9 @@ def sample_noncolliding(
     n_paths: int,
     seed: int,
 ) -> PathEnsemble:
-    """Euler integration of the interacting (noncolliding) diffusion.
-
-    Steps that would break the ordering are retried with locally halved
-    increments up to 8 times; persistent violations reject the step and
-    count against a 0.1% budget, beyond which the run fails (the step size
-    is too coarse for the repulsion strength).
-    """
+    """Exact noncolliding BM or BESQ(nu) paths from the matrix models of
+    the module docstring; BESQ needs nu = 1/2 or an integer nu >= 0.
+    ``dt`` must be positive and is otherwise ignored (there is no step)."""
     if process.tag not in ("BM", "BESQ"):
         raise DomainError("interacting sampler supports BM and BESQ")
     if dt <= 0:
@@ -451,78 +460,74 @@ def sample_noncolliding(
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
     u = np.array(xi.support())
-    if process.tag == "BESQ" and (u < 0).any():
-        raise DomainError("BESQ starts must be nonnegative")
+    if process.tag == "BESQ":
+        if (u < 0).any():
+            raise DomainError("BESQ starts must be nonnegative")
+        if process.nu != 0.5 and not float(process.nu).is_integer():
+            raise DomainError(f"BESQ({process.nu}) has no matrix model")
     ts = _check_times(process, times)
-    horizon = ts[-1]
-    n_steps = max(1, int(math.ceil(horizon / dt)))
-    dt_eff = horizon / n_steps
-    record = {}
-    for i, t in enumerate(ts):
-        record.setdefault(int(round(t / dt_eff)), []).append(i)
-    n = len(u)
-    out = np.empty((n_paths, len(ts), n))
-    rejected = 0
-    proposed = 0
+    cells = math.prod(_matrix_model(process, u)[0])
+    if cells > _MAX_CELLS:
+        raise CapacityError(f"matrix model of {cells} > {_MAX_CELLS} entries")
+    # a block's chunks are drawn in order from its stream
+    chunk = max(1, _CHUNK_CELLS // cells)
+    out = np.empty((n_paths, len(ts), len(u)))
     for block, start, size in _blocks(n_paths):
         rng = stream(seed, block)
-        state = np.broadcast_to(u, (size, n)).copy()
-        if 0 in record:
-            for i in record[0]:
-                out[start : start + size, i, :] = state
-        for step in range(1, n_steps + 1):
-            state, rej, prop = _em_step(process, state, dt_eff, rng, 0)
-            rejected += rej
-            proposed += prop
-            if step in record:
-                for i in record[step]:
-                    out[start : start + size, i, :] = state
-    if proposed and rejected > 1e-3 * proposed:
-        raise NumericError(
-            f"collision guard rejected {rejected} of {proposed} steps; "
-            "decrease dt"
-        )
+        for lo in range(start, start + size, chunk):
+            hi = min(lo + chunk, start + size)
+            out[lo:hi] = _noncolliding_chunk(process, u, ts, hi - lo, rng)
     return PathEnsemble(process=process, times=ts, paths=out, seed=int(seed))
 
 
-def _drift_diffusion(process, x):
-    n = x.shape[1]
-    inter = np.zeros_like(x)
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                inter[:, j] += 1.0 / (x[:, j] - x[:, k])
+def _matrix_model(process, u):
+    """Shape of one path's matrix, and its diagonal at time 0."""
+    n = len(u)
     if process.tag == "BM":
-        return inter, np.ones_like(x)
-    pos = np.maximum(x, 0.0)
-    drift = 2.0 * (process.nu + 1.0) + 4.0 * pos * inter
-    return drift, 2.0 * np.sqrt(pos)
+        return (n, n), u
+    root = np.sqrt(u)
+    if process.nu == 0.5:
+        return (2 * n, 2 * n), np.concatenate([root, -root])
+    return (n + int(process.nu), n), root
 
 
-def _em_step(process, state, dt, rng, depth, max_depth=8):
-    drift, sigma = _drift_diffusion(process, state)
-    noise = rng.standard_normal(state.shape)
-    prop = state + drift * dt + sigma * math.sqrt(dt) * noise
-    if process.tag == "BESQ":
-        prop = np.maximum(prop, 0.0)
-    ordered = (np.diff(prop, axis=1) > 0).all(axis=1)
-    rejected = 0
-    proposed = state.shape[0]
-    if not ordered.all():
-        bad = ~ordered
-        if depth >= max_depth:
-            prop[bad] = state[bad]
-            rejected += int(bad.sum())
+def _complex_gaussian(rng, shape, var):
+    """iid complex Gaussians with E|g|^2 = var, viewed from pairs of normals."""
+    g = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+    g *= math.sqrt(var / 2.0)
+    return g
+
+
+def _hermitian_bm(rng, shape, dt):
+    """Hermitian BM increment: diagonal variance dt, off-diagonal E|h|^2 = dt."""
+    g = _complex_gaussian(rng, shape, dt / 2.0)
+    return g + np.conj(np.swapaxes(g, -1, -2))
+
+
+def _noncolliding_chunk(process, u, ts, size, rng):
+    """``size`` paths of the matrix model, carried from one time to the next."""
+    n = len(u)
+    shape, diag = _matrix_model(process, u)
+    mat = np.zeros((size,) + shape, dtype=complex)
+    mat[:, range(len(diag)), range(len(diag))] = diag
+    out = np.empty((size, len(ts), n))
+    for m, (t, step) in enumerate(zip(ts, np.diff((0.0,) + ts))):
+        if t == 0:
+            out[:, m, :] = u
+            continue
+        if process.tag == "BM":
+            mat += _hermitian_bm(rng, (size, n, n), step)
+            out[:, m, :] = np.linalg.eigvalsh(mat)
+        elif process.nu == 0.5:
+            a = _hermitian_bm(rng, (size, n, n), step)
+            g = _complex_gaussian(rng, (size, n, n), step / 2.0)
+            b = g + np.swapaxes(g, -1, -2)
+            mat += np.block([[a, b], [np.conj(b), -np.conj(a)]])
+            out[:, m, :] = np.linalg.eigvalsh(mat)[:, n:] ** 2
         else:
-            half1, r1, p1 = _em_step(
-                process, state[bad], dt / 2.0, rng, depth + 1, max_depth
-            )
-            half2, r2, p2 = _em_step(
-                process, half1, dt / 2.0, rng, depth + 1, max_depth
-            )
-            prop[bad] = half2
-            rejected += r1 + r2
-    return prop, rejected, proposed
+            mat += _complex_gaussian(rng, mat.shape, 2.0 * step)
+            out[:, m, :] = np.linalg.svd(mat, compute_uv=False)[:, ::-1] ** 2
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -522,12 +522,17 @@ def transition_density(process: ProcessKind, t, y, x):
     if t < 0:
         raise DomainError("transition_density requires t >= 0")
     if process.tag == "RW":
-        if np.ndim(y) == 0 and np.ndim(x) == 0:
-            return rw_transition(int(t), int(y), int(x))
-        y, x = np.broadcast_arrays(y, x)
-        return np.array(
-            [rw_transition(int(t), int(a), int(b)) for a, b in zip(y.flat, x.flat)]
-        ).reshape(y.shape)
+        if not float(t).is_integer():
+            raise DomainError("RW time must be a nonnegative integer")
+        steps = int(t)
+        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        k = (steps + d) / 2.0
+        ok = (k == np.floor(k)) & (np.abs(d) <= steps)
+        k = np.where(ok, k, 0.0).astype(int)
+        log_fact = np.array([math.lgamma(j + 1.0) for j in range(steps + 1)])
+        log_p = log_fact[steps] - log_fact[k] - log_fact[steps - k] - steps * math.log(2.0)
+        out = np.where(ok, np.exp(log_p), 0.0)
+        return float(out) if out.ndim == 0 else out
     if t == 0.0:
         raise DomainError("continuous transition density undefined at t = 0")
     if process.tag == "BM":

@@ -320,6 +320,8 @@ BAD_INPUTS = [
     ("fredholm", "quad_order", 0),
     ("simulate", "dt", "x"),
     ("oconnell", "dt", "x"),
+    ("simulate", "dt", 0.0),
+    ("simulate", "process", {"kind": "BESQ", "nu": 0.3}),
     ("simulate", "times", ["a"]),
     ("simulate", "times", [math.inf]),
     ("simulate", "times", [math.nan]),

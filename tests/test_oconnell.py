@@ -123,7 +123,7 @@ class TestReference:
 
         a = sim.cpr_expectation(bm(), nu_hat, F, [1.0 / t], 100_000, seed=70)
         b = oc.reciprocal_reference(nu_hat, t, h, 60_000, seed=71)
-        assert abs(a.mean.real - b.mean) <= 4 * a.combined_se(b) + 2e-3
+        assert abs(a.mean.real - b.mean) <= 4 * a.combined_se(b)
 
     def test_small_lift_matches_reference(self):
         nu_hat = drifts(-1.0, 1.0)

@@ -294,7 +294,7 @@ class TestNoncollidingDiffusion:
             total += w[i] * float(
                 w @ (dens * np.exp(-0.25 * (x1**2 + xs**2)))
             )
-        assert abs(vals.mean() - total) <= 4 * se + 2 * dt
+        assert abs(vals.mean() - total) <= 4 * se
 
     def test_besq_ordering_and_positivity(self):
         xi = simple(1.0, 4.0)
@@ -302,6 +302,105 @@ class TestNoncollidingDiffusion:
         assert (ens.paths >= 0).all()
         assert (np.diff(ens.paths, axis=2) > 0).all()
 
+
+
+def _density_integral(proc, xi, t, f, lo, hi, q=400):
+    """Integral of K(t, y; t, y) f(y) over [lo, hi] by Gauss-Legendre;
+    for BESQ in the variable sqrt(y), which smooths the y^nu edge at 0."""
+    nodes, w = np.polynomial.legendre.leggauss(q)
+    if proc.tag == "BESQ":
+        r = 0.5 * math.sqrt(hi) * (nodes + 1.0)
+        y, w = r * r, math.sqrt(hi) * w * r
+    else:
+        y, w = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+    dens = np.diag(ker.kernel_eval_grid(ker.general_kernel(proc, xi), t, y, t, y))
+    return float(w @ (dens * f(y)))
+
+
+class TestMatrixModels:
+    """The matrix models never use the determinantal theory, so agreement
+    with the kernel checks the correlation structure independently."""
+
+    @pytest.mark.parametrize(
+        "proc, points, t, lo, hi, seed",
+        [
+            (bm(), (-1.0, 0.2, 1.0), 1.0, -12.0, 12.0, 33),
+            (besq(1.0), (0.5, 1.5), 0.7, 0.0, 80.0, 34),
+            (besq(0.5), (0.5, 1.5), 0.7, 0.0, 80.0, 35),
+            (besq(0.5), (0.5, 1.5, 3.0), 0.7, 0.0, 100.0, 36),
+        ],
+        ids=["bm-3", "besq1-2", "besq_half-2", "besq_half-3"],
+    )
+    def test_one_time_density(self, proc, points, t, lo, hi, seed):
+        xi = simple(*points)
+
+        def f(y):
+            return np.exp(-y * y / 4.0) if proc.tag == "BM" else np.exp(-y / 2.0)
+
+        ens = sim.sample_noncolliding(proc, xi, [t], 1e-3, 100_000, seed=seed)
+        vals = f(ens.paths[:, 0, :]).sum(axis=1)
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        want = _density_integral(proc, xi, t, f, lo, hi)
+        assert abs(vals.mean() - want) <= 4 * se
+
+    def test_two_time_moment_bm(self):
+        # E sum_{i,j} f(X_i(s)) g(X_j(t)) against the 2x2 block determinant
+        xi = simple(-1.0, 0.2, 1.0)
+        s, t = 0.5, 1.0
+
+        def f(x):
+            return np.exp(-x * x / 4.0)
+
+        def g(y):
+            return np.cos(y)
+
+        ens = sim.sample_noncolliding(bm(), xi, [s, t], 1e-3, 100_000, seed=37)
+        vals = f(ens.paths[:, 0, :]).sum(axis=1) * g(ens.paths[:, 1, :]).sum(axis=1)
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+
+        nodes, w = np.polynomial.legendre.leggauss(240)
+        x, w = 12.0 * nodes, 12.0 * w
+        kern = ker.general_kernel(bm(), xi)
+        k_ss = np.diag(ker.kernel_eval_grid(kern, s, x, s, x))
+        k_tt = np.diag(ker.kernel_eval_grid(kern, t, x, t, x))
+        k_st = ker.kernel_eval_grid(kern, s, x, t, x)
+        k_ts = ker.kernel_eval_grid(kern, t, x, s, x)
+        rho = np.outer(k_ss, k_tt) - k_st * k_ts.T
+        want = float((w * f(x)) @ rho @ (w * g(x)))
+        assert abs(vals.mean() - want) <= 4 * se
+
+    def test_dt_is_ignored(self):
+        xi = simple(0.0, 1.0, 3.0)
+        for proc in (bm(), besq(0.5), besq(2.0)):
+            a = sim.sample_noncolliding(proc, xi, [0.0, 0.3, 1.0], 1e-3, 5000, seed=38)
+            b = sim.sample_noncolliding(proc, xi, [0.0, 0.3, 1.0], 1e-2, 5000, seed=38)
+            assert (a.paths == b.paths).all()
+            assert (a.paths[:, 0, :] == [0.0, 1.0, 3.0]).all()
+        with pytest.raises(DomainError):
+            sim.sample_noncolliding(bm(), xi, [1.0], 0.0, 10, seed=38)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
+    def test_besq_integer_index_ordering_and_positivity(self, nu):
+        xi = simple(0.0, 1.0, 4.0)
+        ens = sim.sample_noncolliding(besq(nu), xi, [0.01, 0.5], 1e-3, 4000, seed=39)
+        assert (ens.paths > 0).all()
+        assert (np.diff(ens.paths, axis=2) > 0).all()
+
+    def test_large_model_drawn_in_chunks(self):
+        # N = 100: one path per chunk, each with fresh draws; the particle
+        # sum is the trace, a Gaussian of variance N t
+        u = np.arange(0.0, 200.0, 2.0)
+        ens = sim.sample_noncolliding(bm(), simple(*u), [0.5], 1e-3, 60, seed=41)
+        assert (np.diff(ens.paths, axis=2) > 0).all()
+        assert len(np.unique(ens.paths[:, 0, 0])) == 60
+        total = ens.paths[:, 0, :].sum(axis=1)
+        assert abs(total.mean() - u.sum()) <= 4 * math.sqrt(len(u) * 0.5 / 60)
+        with pytest.raises(CapacityError):
+            sim.sample_noncolliding(besq(10**6), simple(1.0, 4.0), [0.5], 1e-3, 10, seed=41)
+
+    def test_index_without_matrix_model_refused(self):
+        with pytest.raises(DomainError):
+            sim.sample_noncolliding(besq(0.3), simple(1.0, 4.0), [0.5], 1e-3, 10, seed=40)
 
 class TestOptionalStopping:
     def test_horizon_consistency(self):
@@ -347,4 +446,4 @@ class TestDmrVsInteractingSampler:
         ens = sim.sample_noncolliding(bm(), xi, [t], 5e-4, 40_000, seed=32)
         vals = F(np.sort(ens.paths, axis=2))
         b = sim.Estimate.from_samples(vals)
-        assert abs(a.mean - b.mean) <= 4 * a.combined_se(b) + 2 * 5e-4
+        assert abs(a.mean - b.mean) <= 4 * a.combined_se(b)

@@ -246,6 +246,21 @@ class TestTransitionDensity:
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_rw_grid_matches_scalar(self):
+        # array ops over a log-factorial table against the scalar formula;
+        # wrong parity, unreachable and non-integer sites are exactly 0
+        for t in (0, 1, 2, 7, 40, 1000):
+            ys = np.arange(-t - 3, t + 4, dtype=float)[:, None]
+            xs = np.array([-2.0, 0.0, 1.0, 3.0, 0.5])[None, :]
+            grid = specfun.transition_density(rw(), t, ys, xs)
+            assert grid.shape == (ys.size, xs.size)
+            want = np.array(
+                [[specfun.rw_transition(t, a, b) for b in xs[0]] for a in ys[:, 0]]
+            )
+            assert ((grid == 0.0) == (want == 0.0)).all()
+            assert np.allclose(grid, want, rtol=1e-15, atol=0.0)
+        assert isinstance(specfun.transition_density(rw(), 3, 1, 0), float)
+
     def test_bm_normalization_quadrature(self):
         nodes, weights = np.polynomial.legendre.leggauss(200)
         a, b = -12.0, 12.0
