@@ -42,8 +42,8 @@ class ConfigError(DomainError):
     pass
 
 
-# paths per write of the simulate CSV: larger chunks write no faster and
-# hold more row strings in memory at once
+# paths (simulate) or rows (kernel) per formatted CSV write: larger chunks
+# write no faster and hold more argument objects and text in memory at once
 _CSV_CHUNK = 256
 
 
@@ -188,8 +188,10 @@ def cmd_kernel(config: dict) -> int:
                 rows.extend((s, x, t, y, v) for y, v in zip(yvals, block[i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,x,t,y,value\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[lo : lo + _CSV_CHUNK]
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)
+                     % tuple(v for row in chunk for v in row))
     sidecar = {
         "schema": SCHEMA,
         "config": config,
@@ -205,6 +207,35 @@ def cmd_kernel(config: dict) -> int:
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
+
+
+def _column(values: np.ndarray):
+    """The %-format and array that print ``values`` as f"{v:.17g}" does:
+    '%d' on int64 when every value is an integer below 1e16 in magnitude
+    and none is -0.0 (which '%d' prints as 0), else '%.17g'."""
+    exact = (np.abs(values) < 1e16) & (values == np.trunc(values))
+    if (exact & ~((values == 0) & np.signbit(values))).all():
+        return "%d", values.astype(np.int64)
+    return "%.17g", values
+
+
+def _write_paths(fh, ens: sim.PathEnsemble) -> None:
+    """The ensemble CSV: a row (path, time, component, value[, companion])
+    per sample, formatted one %-template per path, _CSV_CHUNK paths a write."""
+    columns = [ens.paths] if ens.companions is None else [ens.paths, ens.companions]
+    fmts, columns = zip(*map(_column, columns))
+    fh.write("path,time,component,value" + ",companion" * (len(columns) - 1) + "\n")
+    tail = ",".join(fmts) + "\n"
+    template = "".join(
+        f"%d,{_fmt(t)},{j},{tail}" for t in ens.times for j in range(ens.paths.shape[2])
+    )
+    for lo in range(0, ens.n_paths, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, ens.n_paths)
+        args = np.empty((hi - lo,) + ens.paths.shape[1:] + (1 + len(columns),), object)
+        args[..., 0] = np.arange(lo, hi)[:, None, None]
+        for k, col in enumerate(columns, 1):
+            args[..., k] = col[lo:hi]
+        fh.write(template * (hi - lo) % tuple(args.ravel().tolist()))
 
 
 def cmd_simulate(config: dict) -> int:
@@ -226,36 +257,15 @@ def cmd_simulate(config: dict) -> int:
         ens = sim.attach_companions(ens, seed2=seed + 1)
     path = _require(config, "output.path", str)
     with open(path, "w", encoding="utf-8") as fh:
-        header = "path,time,component,value"
-        if ens.companions is not None:
-            header += ",companion"
-        fh.write(header + "\n")
-        ts = [_fmt(t) for t in ens.times]
-        for lo in range(0, ens.n_paths, _CSV_CHUNK):
-            paths = ens.paths[lo : lo + _CSV_CHUNK].tolist()
-            if ens.companions is None:
-                rows = (
-                    f"{p},{ts[m]},{j},{v:.17g}\n"
-                    for p, trajectory in enumerate(paths, lo)
-                    for m, vals in enumerate(trajectory)
-                    for j, v in enumerate(vals)
-                )
-            else:
-                comps = ens.companions[lo : lo + _CSV_CHUNK].tolist()
-                rows = (
-                    f"{p},{ts[m]},{j},{v:.17g},{c:.17g}\n"
-                    for p, (trajectory, comp) in enumerate(zip(paths, comps), lo)
-                    for m, (vals, cvals) in enumerate(zip(trajectory, comp))
-                    for j, (v, c) in enumerate(zip(vals, cvals))
-                )
-            fh.write("".join(rows))
+        _write_paths(fh, ens)
     summary = {
         "schema": SCHEMA,
         "config": config,
         "n_paths": ens.n_paths,
         "times": list(ens.times),
         "mean": ens.paths.mean(axis=0).tolist(),
-        "variance": ens.paths.var(axis=0, ddof=1).tolist(),
+        # the sample variance is undefined below two paths
+        "variance": ens.paths.var(axis=0, ddof=1).tolist() if ens.n_paths > 1 else None,
     }
     _json_dump(summary, path + ".summary.json")
     return EXIT_OK

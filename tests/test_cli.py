@@ -26,6 +26,39 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def old_kernel_csv(rows):
+    """The per-row join the kernel writer used before its %-templates: the
+    oracle the CLI bytes must equal."""
+    lines = ["s,x,t,y,value\n"]
+    lines += (",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    return "".join(lines)
+
+
+def old_paths_csv(ens):
+    """The per-row f-strings the simulate writer used before its per-path
+    %-templates: the oracle the CLI bytes must equal."""
+    header = "path,time,component,value"
+    if ens.companions is not None:
+        header += ",companion"
+    ts = [f"{float(t):.17g}" for t in ens.times]
+    paths = ens.paths.tolist()
+    if ens.companions is None:
+        rows = (
+            f"{p},{ts[m]},{j},{v:.17g}\n"
+            for p, trajectory in enumerate(paths)
+            for m, vals in enumerate(trajectory)
+            for j, v in enumerate(vals)
+        )
+    else:
+        rows = (
+            f"{p},{ts[m]},{j},{v:.17g},{c:.17g}\n"
+            for p, (trajectory, comp) in enumerate(zip(paths, ens.companions.tolist()))
+            for m, (vals, cvals) in enumerate(zip(trajectory, comp))
+            for j, (v, c) in enumerate(zip(vals, cvals))
+        )
+    return header + "\n" + "".join(rows)
+
+
 class TestKernelCommand:
     def config(self, tmp_path, out, variant="sine", **extra):
         kernel = {"variant": variant}
@@ -130,6 +163,33 @@ class TestKernelCommand:
         assert run(["kernel", path]) == 0
         assert len(read_text(out).strip().splitlines()) == 3
 
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        # 2·12·2·6 = 288 rows: more than one _CSV_CHUNK, and not a multiple
+        axes = {"s": [0.5, 1.0], "x": list(np.linspace(-1.1, 1.3, 12)),
+                "t": [1.0, 1.7], "y": [-0.4, 0.0, 0.3, 0.25, 1e-7, 2.0]}
+        out = str(tmp_path / "grid.csv")
+        path = write_config(
+            tmp_path,
+            {
+                "schema": "detmart/1",
+                "command": "kernel",
+                "kernel": {"variant": "extended_hermite", "size": 3},
+                "grid": axes,
+                "output": {"path": out},
+            },
+        )
+        assert run(["kernel", path]) == 0
+        kern = cli.ker.extended_hermite_kernel(3)
+        rows = []
+        for s in axes["s"]:
+            blocks = {t: cli.ker.kernel_eval_grid(kern, s, axes["x"], t, axes["y"])
+                      for t in axes["t"]}
+            rows += [(s, x, t, y, blocks[t][i, k])
+                     for i, x in enumerate(axes["x"]) for t in axes["t"]
+                     for k, y in enumerate(axes["y"])]
+        assert len(rows) > cli._CSV_CHUNK
+        assert read_text(out) == old_kernel_csv(rows)
+
 
 class TestSimulateCommand:
     def config(self, tmp_path, out, n_paths=50, seed=9):
@@ -181,6 +241,68 @@ class TestSimulateCommand:
             },
         )
         assert run(["simulate", path]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_path_summary_is_strict_json(self, tmp_path):
+        out = str(tmp_path / "a.csv")
+        assert run(["simulate", self.config(tmp_path, out, n_paths=1)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"summary holds the non-JSON constant {name}")
+
+        summary = json.loads(read_text(out + ".summary.json"), parse_constant=refuse)
+        assert summary["n_paths"] == 1
+        assert summary["variance"] is None
+
+
+# each case: (id, config fields, text the CSV must contain)
+CSV_CASES = [
+    ("free-rw-companions",
+     {"process": {"kind": "RW"}, "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
+      "times": [1, 2, 3], "sampler": "free", "companions": True,
+      "mc": {"n_paths": 40, "seed": 3}}, None),
+    ("noncolliding-rw",
+     {"process": {"kind": "RW"}, "xi": {"atoms": [[0.0, 1], [2.0, 1], [4.0, 1]]},
+      "times": [1, 2], "sampler": "noncolliding_rw",
+      "mc": {"n_paths": 60, "seed": 4}}, None),
+    ("noncolliding-bm-257",
+     {"process": {"kind": "BM"}, "xi": {"atoms": [[0.0, 1], [1.0, 1], [2.5, 1]]},
+      "times": [0.5, 1.25], "sampler": "noncolliding",
+      "mc": {"n_paths": 257, "seed": 5}}, None),
+    ("free-bm-1e17",
+     {"process": {"kind": "BM"}, "xi": {"atoms": [[1e17, 1]]},
+      "times": [0.5, 1], "sampler": "free",
+      "mc": {"n_paths": 20, "seed": 6}}, ",1e+17\n"),
+    ("walk-negative-zero",
+     {"process": {"kind": "RW"}, "xi": {"atoms": [[-0.0, 1], [2.0, 1]]},
+      "times": [0, 1, 2], "sampler": "free",
+      "mc": {"n_paths": 10, "seed": 7}}, "\n0,0,0,-0\n"),
+]
+
+
+class TestSimulateCsvBytes:
+    @pytest.mark.parametrize(
+        "fields, must_contain", [c[1:] for c in CSV_CASES], ids=[c[0] for c in CSV_CASES]
+    )
+    def test_bytes_match_per_row_formatting(self, tmp_path, monkeypatch, fields, must_contain):
+        written = []
+        write_paths = cli._write_paths
+
+        def spy(fh, ens):
+            written.append(ens)
+            write_paths(fh, ens)
+
+        monkeypatch.setattr(cli, "_write_paths", spy)
+        out = str(tmp_path / "paths.csv")
+        config = {"schema": "detmart/1", "command": "simulate", **fields,
+                  "output": {"path": out}}
+        assert run(["simulate", write_config(tmp_path, config)]) == 0
+        (ens,) = written
+        assert ens.n_paths == fields["mc"]["n_paths"]
+        with open(out, "rb") as fh:
+            assert fh.read() == old_paths_csv(ens).encode()
+        if must_contain is not None:
+            assert must_contain in read_text(out)
 
 
 class TestEstimateCommand:
