@@ -42,8 +42,8 @@ class ConfigError(DomainError):
     pass
 
 
-# paths (simulate) or rows (kernel) per formatted CSV write: larger chunks
-# write no faster and hold more argument objects and text in memory at once
+# paths per formatted write of the simulate CSV: larger chunks write no
+# faster and hold more argument objects and text in memory at once
 _CSV_CHUNK = 256
 
 
@@ -188,10 +188,8 @@ def cmd_kernel(config: dict) -> int:
                 rows.extend((s, x, t, y, v) for y, v in zip(yvals, block[i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,x,t,y,value\n")
-        for lo in range(0, len(rows), _CSV_CHUNK):
-            chunk = rows[lo : lo + _CSV_CHUNK]
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)
-                     % tuple(v for row in chunk for v in row))
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     sidecar = {
         "schema": SCHEMA,
         "config": config,
@@ -209,25 +207,14 @@ def cmd_kernel(config: dict) -> int:
 # --------------------------------------------------------------------------
 
 
-def _column(values: np.ndarray):
-    """The %-format and array that print ``values`` as f"{v:.17g}" does:
-    '%d' on int64 when every value is an integer below 1e16 in magnitude
-    and none is -0.0 (which '%d' prints as 0), else '%.17g'."""
-    exact = (np.abs(values) < 1e16) & (values == np.trunc(values))
-    if (exact & ~((values == 0) & np.signbit(values))).all():
-        return "%d", values.astype(np.int64)
-    return "%.17g", values
-
-
 def _write_paths(fh, ens: sim.PathEnsemble) -> None:
     """The ensemble CSV: a row (path, time, component, value[, companion])
     per sample, formatted one %-template per path, _CSV_CHUNK paths a write."""
     columns = [ens.paths] if ens.companions is None else [ens.paths, ens.companions]
-    fmts, columns = zip(*map(_column, columns))
     fh.write("path,time,component,value" + ",companion" * (len(columns) - 1) + "\n")
-    tail = ",".join(fmts) + "\n"
+    tail = ",%.17g" * len(columns) + "\n"
     template = "".join(
-        f"%d,{_fmt(t)},{j},{tail}" for t in ens.times for j in range(ens.paths.shape[2])
+        f"%d,{_fmt(t)},{j}{tail}" for t in ens.times for j in range(ens.paths.shape[2])
     )
     for lo in range(0, ens.n_paths, _CSV_CHUNK):
         hi = min(lo + _CSV_CHUNK, ens.n_paths)

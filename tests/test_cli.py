@@ -26,14 +26,6 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def old_kernel_csv(rows):
-    """The per-row join the kernel writer used before its %-templates: the
-    oracle the CLI bytes must equal."""
-    lines = ["s,x,t,y,value\n"]
-    lines += (",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
-    return "".join(lines)
-
-
 def old_paths_csv(ens):
     """The per-row f-strings the simulate writer used before its per-path
     %-templates: the oracle the CLI bytes must equal."""
@@ -162,33 +154,6 @@ class TestKernelCommand:
         )
         assert run(["kernel", path]) == 0
         assert len(read_text(out).strip().splitlines()) == 3
-
-    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
-        # 2·12·2·6 = 288 rows: more than one _CSV_CHUNK, and not a multiple
-        axes = {"s": [0.5, 1.0], "x": list(np.linspace(-1.1, 1.3, 12)),
-                "t": [1.0, 1.7], "y": [-0.4, 0.0, 0.3, 0.25, 1e-7, 2.0]}
-        out = str(tmp_path / "grid.csv")
-        path = write_config(
-            tmp_path,
-            {
-                "schema": "detmart/1",
-                "command": "kernel",
-                "kernel": {"variant": "extended_hermite", "size": 3},
-                "grid": axes,
-                "output": {"path": out},
-            },
-        )
-        assert run(["kernel", path]) == 0
-        kern = cli.ker.extended_hermite_kernel(3)
-        rows = []
-        for s in axes["s"]:
-            blocks = {t: cli.ker.kernel_eval_grid(kern, s, axes["x"], t, axes["y"])
-                      for t in axes["t"]}
-            rows += [(s, x, t, y, blocks[t][i, k])
-                     for i, x in enumerate(axes["x"]) for t in axes["t"]
-                     for k, y in enumerate(axes["y"])]
-        assert len(rows) > cli._CSV_CHUNK
-        assert read_text(out) == old_kernel_csv(rows)
 
 
 class TestSimulateCommand:
