@@ -120,12 +120,12 @@ def _normalize_atoms(raw) -> tuple:
 def vandermonde(x):
     """prod_{j < k} (x_k - x_j) over the last axis; 1 for a single entry.
 
-    ``x`` has shape (..., N); a floating dtype is kept (longdouble stays
-    longdouble), anything else becomes float.  A 1-D float input gives a
-    Python float.
+    ``x`` has shape (..., N); a floating or complex dtype is kept
+    (longdouble stays longdouble), anything else becomes float.  A 1-D
+    float input gives a Python float.
     """
     x = np.asarray(x)
-    if x.dtype.kind != "f":
+    if x.dtype.kind not in "fc":
         x = x.astype(float)
     n = x.shape[-1]
     out = np.ones(x.shape[:-1], dtype=x.dtype)
@@ -326,7 +326,7 @@ def besselzero_config(nu: float, count: int) -> PointConfiguration:
 # --------------------------------------------------------------------------
 
 
-def _det_lu_longdouble(mat: np.ndarray) -> float:
+def det_longdouble(mat: np.ndarray) -> float:
     """Determinant by partial-pivoted elimination in extended precision."""
     a = mat.astype(np.longdouble).copy()
     n = a.shape[0]
@@ -367,5 +367,5 @@ def det_phi_identity_check(xi: PointConfiguration, x: Sequence[float]):
             if r != k:
                 col *= (xl - ul[r]) / (ul[k] - ul[r])
         mat[:, k] = col
-    rhs = _det_lu_longdouble(mat)
+    rhs = det_longdouble(mat)
     return lhs, rhs, abs(lhs - rhs)

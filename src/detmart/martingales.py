@@ -85,9 +85,12 @@ def poly_martingale(process: ProcessKind, n: int, t: float, x):
 
 
 def poly_values(process: ProcessKind, max_degree: int, t: float, x) -> np.ndarray:
-    """Stack m_0 .. m_{max_degree} at x: shape x.shape + (max_degree + 1,)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (max_degree + 1,))
+    """Stack m_0 .. m_{max_degree} at x: shape x.shape + (max_degree + 1,);
+    a floating x keeps its dtype (longdouble evaluates in extended precision)."""
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    out = np.empty(x.shape + (max_degree + 1,), dtype=x.dtype)
     for n in range(max_degree + 1):
         out[..., n] = np.polynomial.polynomial.polyval(
             x, poly_coeffs(process, n, t)

@@ -3,8 +3,11 @@
 Estimators compute E[F * det-weight] where the weight is the determinantal
 martingale det[M_xi^{u_k}(T, V_j(T))] over independent free paths (real
 representation) or det[phi^{u_k}(Z_j(T))] over complex paths (complex
-representation).  ``brute_force_rw`` enumerates every walk outcome exactly
-and is the ground truth the walk estimators are tested against.
+representation).  By the determinant identity the weights are evaluated
+as h(V(T)) / h(u), h(Z(T)) / h(u), or prod_j q(Z_j) h(Z(T)^2) / h(u^2) for
+BES(n + 1/2), h the Vandermonde product; no matrix is formed.
+``brute_force_rw`` enumerates every walk outcome exactly and is the
+ground truth the walk estimators are tested against.
 
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
@@ -91,6 +94,8 @@ class Estimate:
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "Estimate":
         n = len(values)
+        if n < 2:
+            raise DomainError("an estimate needs at least two samples")
         if np.iscomplexobj(values):
             return cls(
                 mean=complex(values.mean()),
@@ -245,50 +250,40 @@ def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
 # --------------------------------------------------------------------------
 
 
+def _weight_nodes(xi: cfg.PointConfiguration, ends: np.ndarray) -> np.ndarray:
+    """Support of a simple xi with one point per column of ``ends``."""
+    if not xi.simple() or ends.shape[-1] != xi.total():
+        raise DomainError("weights need a simple xi and one column per particle")
+    return np.array(xi.support())
+
+
 def det_weight(
     process: ProcessKind, xi: cfg.PointConfiguration, T: float, end_positions
 ) -> np.ndarray:
-    """det[M_xi^{u_k}(T, V_j(T))] for a batch of end positions (n, N)."""
+    """det[M_xi^{u_k}(T, V_j(T))] = h(V(T)) / h(u) for end positions (n, N);
+    m_{N-1} is built only to refuse processes and horizons without one."""
     pts = np.asarray(end_positions, dtype=float)
-    sup = xi.support()
-    n = len(sup)
-    if pts.shape[-1] != n:
-        raise DomainError("end positions must have one column per particle")
-    cmat = np.column_stack([cfg.phi_coeffs(xi, u) for u in sup])
-    vals = mart.poly_values(process, n - 1, T, pts)  # (n_paths, N, degrees)
-    return np.linalg.det(vals @ cmat)
-
-
-def _phi_tilde_even(xi: cfg.PointConfiguration, u: float, z: np.ndarray) -> np.ndarray:
-    out = np.ones_like(z)
-    for r in xi.support():
-        if r == u:
-            continue
-        out = out * (z * z - r * r) / (u * u - r * r)
-    return out
+    u = _weight_nodes(xi, pts)
+    mart.poly_coeffs(process, len(u) - 1, T)
+    return cfg.vandermonde(pts) / cfg.vandermonde(u)
 
 
 def cpr_weight(
     process: ProcessKind, xi: cfg.PointConfiguration, T: float, z_end
 ) -> np.ndarray:
-    """det[phi_xi^{u_k}(Z_j(T))] for complex end points (n, N)."""
+    """det[phi_xi^{u_k}(Z_j(T))] for complex end points (n, N): h(Z) / h(u),
+    and prod_j q(Z_j) h(Z^2) / h(u^2) for BES(n + 1/2)."""
     z = np.asarray(z_end, dtype=complex)
-    sup = xi.support()
-    n = len(sup)
-    mat = np.empty(z.shape[:-1] + (n, n), dtype=complex)
+    u = _weight_nodes(xi, z)
     if process.tag in ("BM", "RW"):
-        for k, u in enumerate(sup):
-            mat[..., :, k] = cfg.phi_simple(xi, u, z)
-    elif process.tag == "BES":
+        return cfg.vandermonde(z) / cfg.vandermonde(u)
+    if process.tag == "BES":
         order = process.nu - 0.5
         if order < 0 or order != int(order):
             raise DomainError("complex representation needs index n + 1/2")
         q = mart.bes_q_factor(int(order), T, z)
-        for k, u in enumerate(sup):
-            mat[..., :, k] = q * _phi_tilde_even(xi, u, z)
-    else:
-        raise DomainError(f"no complex representation for {process}")
-    return np.linalg.det(mat)
+        return q.prod(axis=-1) * cfg.vandermonde(z * z) / cfg.vandermonde(u * u)
+    raise DomainError(f"no complex representation for {process}")
 
 
 # --------------------------------------------------------------------------

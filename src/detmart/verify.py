@@ -92,9 +92,62 @@ def identities(seed: int = 1234) -> list:
 # --------------------------------------------------------------------------
 
 
+def _weight_identities(rng) -> list:
+    """The identities that let det_weight and cpr_weight return Vandermonde
+    ratios: det[M_xi^{u_k}(T, x_j)] = h(x) / h(u) over BM, BESQ(0, 1/2, 1)
+    and RW; det[Phi_xi^{u_k}(z_j)] = h(z) / h(u); and for BES(3/2)
+    det[q(z_j) Phi_{xi^2}^{u_k^2}(z_j^2)] = prod_j q(z_j) h(z^2) / h(u^2)."""
+    ld = np.longdouble
+    procs = (bm(), besq(0.0), besq(0.5), besq(1.0), rw())
+    worst_real = worst_complex = 0.0
+    # 20 starting configurations, 10 end configurations each, with
+    # spacings in [0.25, 2.25] (distinct sites for the walk)
+    for i in range(20):
+        proc, n = procs[i % 5], 2 + i % 4
+        if proc.tag == "RW":
+            T = float(rng.integers(0, 7))
+            u = np.sort(rng.choice(np.arange(-6.0, 7.0), n, replace=False))
+            x = np.array(
+                [rng.choice(np.arange(-9.0, 10.0), n, replace=False) for _ in range(10)]
+            )
+        else:
+            T = rng.uniform(0.1, 1.0)
+            lo = 0.0 if proc.tag == "BESQ" else -3.0
+            u = lo + np.cumsum(rng.uniform(0.25, 2.25, size=n))
+            x = lo + np.cumsum(rng.uniform(0.25, 2.25, size=(10, n)), axis=1)
+            x = rng.permuted(x, axis=1)
+        xi = cfg.PointConfiguration.from_points(u)
+        cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in u])
+        # extended precision: the lower coefficients of the BESQ m_l grow
+        # like (2T)^l l!, and in double the matrix misses by up to 1e-8 here
+        xl = x.astype(ld)
+        mats = mart.poly_values(proc, n - 1, T, xl) @ cmat
+        got = np.array([cfg.det_longdouble(m) for m in mats])
+        want = cfg.vandermonde(xl) / cfg.vandermonde(u.astype(ld))
+        worst_real = max(worst_real, float(np.max(np.abs(got / want - 1.0))))
+
+        z = x + 1j * rng.uniform(-1.0, 1.0, size=x.shape)
+        if proc.tag == "BESQ":
+            q = mart.bes_q_factor(1, T, z)
+            sq = xi.square()
+            mat = np.stack([cfg.phi_simple(sq, v * v, z * z) for v in u], axis=-1)
+            got = np.linalg.det(q[..., None] * mat)
+            want = q.prod(axis=-1) * cfg.vandermonde(z * z) / cfg.vandermonde(u * u)
+        else:
+            mat = np.stack([cfg.phi_simple(xi, v, z) for v in u], axis=-1)
+            got = np.linalg.det(mat)
+            want = cfg.vandermonde(z) / cfg.vandermonde(u)
+        worst_complex = max(worst_complex, float(np.max(np.abs(got / want - 1.0))))
+    return [
+        _check("det of martingale values is h(x)/h(u) (200 random)", worst_real, 1e-10),
+        _check("det of complex Phi is the Vandermonde ratio (200 random)", worst_complex, 1e-10),
+    ]
+
+
 def martingales(seed: int = 2345) -> list:
-    """Normalization of the determinantal weight and walk polynomials."""
-    out = []
+    """Normalization of the determinantal weight and walk polynomials, and
+    the determinant identities the weights are computed by."""
+    out = _weight_identities(np.random.default_rng(seed + 2))
     configs = {
         "BM": (bm(), _simple(-1.0, 0.0, 1.0, 2.5), 1.0),
         "BESQ": (besq(0.5), _simple(0.5, 1.5, 3.0, 5.0), 1.0),

@@ -416,6 +416,8 @@ BAD_INPUTS = [
     ("kernel", "grid.x", ["a"]),
     ("estimate", "horizon", "x"),
     ("estimate", "xi.atoms", [["a", 1]]),
+    # one DMR path has no standard error: refused before numpy divides by 0
+    ("estimate", "mc.n_paths", 1),
 ]
 
 

@@ -67,6 +67,13 @@ class TestVandermonde:
         assert cfg.vandermonde(x).dtype == np.longdouble
         assert cfg.vandermonde(x[None, :]).dtype == np.longdouble
 
+    def test_keeps_complex128(self):
+        z = np.array([[0.0, 1j, 2.0 + 1j], [1.0, -1j, 3.0]])
+        got = cfg.vandermonde(z)
+        assert got.dtype == np.complex128
+        assert got[0] == (1j - 0.0) * (2.0 + 1j - 0.0) * (2.0 + 1j - 1j)
+        assert cfg.vandermonde(z[0]).dtype == np.complex128
+
 
 class TestPhiSimple:
     def test_kronecker(self):

@@ -15,6 +15,38 @@ def simple(*points):
 
 
 class TestPolynomialMartingales:
+    def test_poly_values_keeps_longdouble(self):
+        x = np.array([[0.5, 2.0], [1.0, 3.0]], dtype=np.longdouble)
+        vals = mart.poly_values(besq(0.5), 3, 1.0, x)
+        assert vals.dtype == np.longdouble and vals.shape == (2, 2, 4)
+        np.testing.assert_allclose(
+            vals.astype(float), mart.poly_values(besq(0.5), 3, 1.0, x.astype(float))
+        )
+
+    @pytest.mark.parametrize("check", [0, 1])
+    def test_weight_identity_checks_catch_a_broken_factor(self, monkeypatch, check):
+        # the verify checks behind the closed-form weights must fail when
+        # m_l stops being monic or a cardinal polynomial changes sign
+        from detmart import verify
+
+        if check == 0:
+            coeffs = mart.poly_coeffs
+
+            def broken(process, n, t):
+                return coeffs(process, n, t) * (1.0 + 1e-6 * n)
+
+            monkeypatch.setattr(mart, "poly_coeffs", broken)
+        else:
+            phi = cfg.phi_simple
+
+            def broken(xi, u, z):
+                return -phi(xi, u, z) if u == xi.support()[0] else phi(xi, u, z)
+
+            monkeypatch.setattr(cfg, "phi_simple", broken)
+        checks = verify._weight_identities(np.random.default_rng(0))
+        assert checks[check]["status"] == "fail"
+        assert checks[1 - check]["status"] == "pass"
+
     def test_rw_m2(self):
         for t in (0, 1, 3, 7):
             for x in (-4, 0, 2, 5):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmart import configurations as cfg
 from detmart import kernels as ker
+from detmart import martingales as mart
 from detmart import simulate as sim
 from detmart import specfun
 from detmart.errors import CapacityError, DomainError
@@ -105,6 +108,124 @@ class TestDetWeight:
         xi = simple(0.5, 2.0)
         est = sim.dmr_expectation(besq(0.5), xi, ones, [1.0], 100_000, seed=13)
         assert abs(est.mean - 1.0) <= 4 * est.std_error
+
+
+def lapack_det_weight(process, xi, T, ends):
+    """The matrix route the closed form replaced: det of the martingale
+    values M_xi^{u_k}(T, V_j) assembled from monomial coefficients."""
+    sup = xi.support()
+    cmat = np.column_stack([cfg.phi_coeffs(xi, u) for u in sup])
+    return np.linalg.det(mart.poly_values(process, len(sup) - 1, T, ends) @ cmat)
+
+
+def lapack_cpr_weight(process, xi, T, z):
+    """The matrix route for det[phi_xi^{u_k}(Z_j)]; for BES(n + 1/2) the
+    entries are q(Z_j) times the Lagrange basis in Z_j^2 over the u^2."""
+    sup = xi.support()
+    if process.tag == "BES":
+        q = mart.bes_q_factor(int(process.nu - 0.5), T, z)
+        cols = [
+            q * np.prod([(z * z - r * r) / (u * u - r * r) for r in sup if r != u], axis=0)
+            for u in sup
+        ]
+    else:
+        cols = [cfg.phi_simple(xi, u, z) for u in sup]
+    return np.linalg.det(np.stack(cols, axis=-1))
+
+
+@st.composite
+def weight_case(draw, tag):
+    """(starts, end rows) with N = 2..4: increasing starts and rows of end
+    points in arbitrary order, so weights of either sign occur; spacings
+    lie in [0.25, 2.25] (distinct sites for the walk).  The matrix routes
+    lose digits as N and T grow (the lower coefficients of the BESQ m_l
+    grow like (2T)^l l!: at N = 4, T = 2 BESQ(0) misses h(u)/h(u) = 1 by
+    1.5e-9), so BESQ horizons stay below 1; verify martingales covers
+    N = 5 in extended precision."""
+    n = draw(st.integers(2, 4))
+    lo = 0.0 if tag in ("BESQ", "BES") else float(draw(st.integers(-6, 0)))
+    gaps = st.integers(1, 3).map(float) if tag == "RW" else st.floats(0.25, 2.25)
+
+    def points():
+        return lo + np.cumsum(draw(st.lists(gaps, min_size=n, max_size=n)))
+
+    starts = points()
+    rows = [draw(st.permutations(list(points()))) for _ in range(draw(st.integers(1, 4)))]
+    return starts, np.array(rows, dtype=float)
+
+
+class TestWeightClosedForms:
+    @pytest.mark.parametrize(
+        "tag, procs, horizons",
+        [
+            ("BM", st.just(bm()), st.floats(0.0, 2.0)),
+            ("BESQ", st.sampled_from([besq(0.0), besq(0.5), besq(1.0)]), st.floats(0.0, 1.0)),
+            ("RW", st.just(rw()), st.integers(0, 8)),
+        ],
+        ids=["BM", "BESQ", "RW"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_det_matches_matrix_route(self, data, tag, procs, horizons):
+        proc, T = data.draw(procs), data.draw(horizons)
+        starts, ends = data.draw(weight_case(tag))
+        xi = simple(*starts)
+        np.testing.assert_allclose(
+            sim.det_weight(proc, xi, T, ends),
+            lapack_det_weight(proc, xi, T, ends),
+            rtol=1e-9,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        proc=st.sampled_from([bm(), rw(), bes(0.5), bes(1.5), bes(2.5)]),
+        case=weight_case("BES"),
+        imag=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        T=st.floats(0.1, 2.0),
+    )
+    def test_cpr_matches_matrix_route(self, proc, case, imag, T):
+        starts, ends = case
+        xi = simple(*starts)
+        z = ends + 1j * np.array(imag[: ends.shape[1]])
+        np.testing.assert_allclose(
+            sim.cpr_weight(proc, xi, T, z),
+            lapack_cpr_weight(proc, xi, T, z),
+            rtol=1e-9,
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda xi, e: sim.det_weight(bes(1.5), xi, 1.0, e),
+            lambda xi, e: sim.det_weight(rw(), xi, 2.5, e),
+            lambda xi, e: sim.det_weight(bm(), xi, -1.0, e),
+            lambda xi, e: sim.det_weight(bm(), xi, 1.0, e[:, :1]),
+            lambda xi, e: sim.cpr_weight(bes(1.0), xi, 1.0, e),
+            lambda xi, e: sim.cpr_weight(bes(-0.5), xi, 1.0, e),
+            lambda xi, e: sim.cpr_weight(besq(0.5), xi, 1.0, e),
+            lambda xi, e: sim.cpr_weight(bm(), xi, 1.0, e[:, :1]),
+        ],
+        ids=[
+            "dmr-bes",
+            "dmr-rw-fractional-horizon",
+            "dmr-negative-horizon",
+            "dmr-column-count",
+            "cpr-bes-integer-index",
+            "cpr-bes-negative-order",
+            "cpr-besq",
+            "cpr-column-count",
+        ],
+    )
+    def test_refusals(self, call):
+        with pytest.raises(DomainError):
+            call(simple(1.0, 2.0), np.array([[1.5, 2.5], [3.0, 0.5]]))
+
+    def test_multiple_points_refused(self):
+        xi = cfg.PointConfiguration(((1.0, 2),))
+        with pytest.raises(DomainError):
+            sim.det_weight(bm(), xi, 1.0, np.array([[0.5, 1.5]]))
+        with pytest.raises(DomainError):
+            sim.cpr_weight(bm(), xi, 1.0, np.array([[0.5, 1.5]]))
 
 
 class TestBruteForce:
