@@ -7,9 +7,10 @@ configuration (all multiplicities one) the polynomial
 
 is the Lagrange cardinal polynomial of the support at node u.  For
 configurations with multiple points the same object is produced by a
-residue: a contour integral of a transition-density-weighted rational
-function around u, which this module evaluates by trapezoid quadrature on
-a circle (spectrally accurate for the analytic integrand).
+residue at u of a transition-density-weighted rational function.  The
+pole at u has finite order, so the residue is a finite Taylor coefficient,
+and this module sums it exactly from the Taylor series of the density
+ratio (Hermite polynomials for BM, shifted entire Bessel series for BESQ).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .processes import ProcessKind
 
 #: locations closer than this are merged into one atom on construction
@@ -188,119 +189,68 @@ def _locate(xi: PointConfiguration, u: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Two-time Phi by residue quadrature
+# Two-time Phi as a finite Taylor residue
 # --------------------------------------------------------------------------
 
 
-def _density_ratio(process: ProcessKind, s: float, x: float, zeta, u: float):
-    """p(s, x | zeta) / p(s, x | u) continued to complex zeta."""
-    zeta = np.asarray(zeta, dtype=complex)
+def _ratio_taylor(process: ProcessKind, s: float, x: float, u: float, n: int):
+    """First n Taylor coefficients in w of R(u + w) = p(s, x | u + w) / p(s, x | u)."""
+    j = np.arange(n)
+    fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
     if process.tag == "BM":
-        return np.exp((-((x - zeta) ** 2) + (x - u) ** 2) / (2.0 * s))
+        # e^{2ab - b^2} = sum_j H_j(a) b^j / j!, b = w / sqrt(2s)
+        a = (x - u) / math.sqrt(2.0 * s)
+        herm = np.array([specfun.hermite(k, a) for k in range(n)])
+        return herm / (fact * (2.0 * s) ** (j / 2.0))
     if process.tag == "BESQ":
-        nu = process.nu
+        # e^{-w/2s} e_nu(q0 + x w / 4s^2) / e_nu(q0), and e_nu' = e_{nu+1}
         scale = 4.0 * s * s
-        num = specfun.entire_bessel_series(nu, x * zeta / scale)
-        den = specfun.entire_bessel_series(nu, np.asarray(x * u / scale))
-        return np.exp(-(zeta - u) / (2.0 * s)) * num / den
+        q0 = x * u / scale
+        ser = np.array(
+            [specfun.entire_bessel_series(process.nu + k, q0) for k in range(n)]
+        )
+        ser = ser / ser[0] * (x / scale) ** j / fact
+        return np.convolve((-1.0 / (2.0 * s)) ** j / fact, ser)[:n]
     raise DomainError("two-time Phi supports BM and BESQ only")
 
 
 def phi_twotime(
-    process: ProcessKind,
-    xi: PointConfiguration,
-    u: float,
-    s: float,
-    x: float,
-    z,
-    quad_start: int = 64,
-    quad_max: int = 1024,
+    process: ProcessKind, xi: PointConfiguration, u: float, s: float, x: float, z
 ) -> complex:
-    """Residue at u of the two-time Phi integrand, by contour quadrature.
+    """Phi((s, x); z) = Res_{zeta = u} R(zeta) / (z - zeta)
+    prod_r ((z - r) / (zeta - r))^{m_r}, R = p(s, x | zeta) / p(s, x | u)."""
+    coeffs = phi_twotime_coeffs(process, xi, u, s, x)
+    return complex(np.polyval(coeffs[::-1], complex(z)))
 
-    The contour is a circle around u of radius min(half the gap to the
-    nearest other support point, 1), shrunk further to stay clear of the
-    evaluation point z.  The node count doubles from ``quad_start`` until
-    two successive values agree to 1e-10.
+
+def phi_twotime_coeffs(
+    process: ProcessKind, xi: PointConfiguration, u: float, s: float, x: float
+) -> np.ndarray:
+    """Monomial coefficients (ascending, length total(xi)) of z -> Phi((s,x); z).
+
+    Phi = prod_{r != u} (z - r)^{m_r} sum_{j < m_u} c_j (z - u)^j, where c
+    holds the first m_u Taylor coefficients in w of
+    R(u + w) prod_{r != u} (u - r + w)^{-m_r}, R the density ratio.
     """
     if s <= 0:
         raise DomainError("phi_twotime requires s > 0")
     u = _locate(xi, u)
-    z = complex(z)
-    if abs(z - u) <= 1e-9:
-        # the residue degenerates when z sits on u itself; recover the
-        # polynomial value by interpolation through generic nodes
-        coeffs = phi_twotime_coeffs(process, xi, u, s, x, quad_start, quad_max)
-        return complex(np.polynomial.polynomial.polyval(z, coeffs))
-    others = [r for r, _ in xi.atoms if r != u]
-    radius = 1.0
-    if others:
-        radius = min(radius, 0.5 * min(abs(r - u) for r in others))
-    radius = min(radius, 0.5 * abs(z - u))
-    radius = max(radius, 1e-6)
-
-    def contour_value(k: int) -> complex:
-        theta = 2.0 * math.pi * np.arange(k) / k
-        ring = radius * np.exp(1j * theta)
-        zeta = u + ring
-        vals = _density_ratio(process, s, x, zeta, u) / (z - zeta)
-        for r, m in xi.atoms:
-            vals = vals * ((z - r) / (zeta - r)) ** m
-        return complex(np.mean(vals * ring))
-
-    prev = contour_value(quad_start)
-    k = quad_start
-    while k < quad_max:
-        k *= 2
-        cur = contour_value(k)
-        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    cur = contour_value(quad_max)
-    if abs(cur - prev) > 1e-8 * max(1.0, abs(cur)):
-        raise NumericError("contour quadrature for two-time Phi did not settle")
-    return cur
-
-
-def phi_twotime_coeffs(
-    process: ProcessKind,
-    xi: PointConfiguration,
-    u: float,
-    s: float,
-    x: float,
-    quad_start: int = 64,
-    quad_max: int = 1024,
-) -> np.ndarray:
-    """Monomial coefficients (ascending, length total(xi)) of z -> Phi((s,x); z).
-
-    The polynomial has degree at most total(xi) - 1; it is recovered from
-    values at Chebyshev nodes scaled by (1 + max |support|), skipping nodes
-    that fall on the support where the residue formula degenerates.
-    """
-    u = _locate(xi, u)
-    d = xi.total()
-    scale = 1.0 + max(abs(r) for r in xi.support())
-    nodes = []
-    m = 2 * d + 3
-    cheb = scale * np.cos((2 * np.arange(m) + 1) * math.pi / (2 * m))
-    for node in cheb:
-        if all(abs(node - r) > 1e-6 for r in xi.support()):
-            nodes.append(float(node))
-        if len(nodes) == d:
-            break
-    if len(nodes) < d:
-        raise NumericError("could not place interpolation nodes off the support")
-    vals = np.array(
-        [
-            phi_twotime(process, xi, u, s, x, z, quad_start, quad_max)
-            for z in nodes
-        ]
-    )
-    vmat = np.vander(np.array(nodes), N=d, increasing=True)
-    coeffs = np.linalg.solve(vmat, vals)
-    if np.max(np.abs(coeffs.imag)) > 1e-7 * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise NumericError("two-time Phi coefficients are not numerically real")
-    return coeffs.real
+    m_u = xi.multiplicity(u)
+    others = [(r, m) for r, m in xi.atoms if r != u]
+    c = _ratio_taylor(process, s, x, u, m_u)
+    j = np.arange(m_u)
+    for r, m in others:
+        binom = np.array([math.comb(m + k - 1, k) for k in range(m_u)], dtype=float)
+        c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
+    # monomials by Horner in (z - u), then one factor (z - r) at a time
+    poly = c[-1:]
+    for cj in c[-2::-1]:
+        poly = np.convolve(poly, [-u, 1.0])
+        poly[0] += cj
+    for r, m in others:
+        for _ in range(m):
+            poly = np.convolve(poly, [-r, 1.0])
+    return poly
 
 
 # --------------------------------------------------------------------------

@@ -319,6 +319,8 @@ def bes_q_factor(n: int, t: float, z):
     """
     if n < 0:
         raise DomainError("bes_q_factor requires n >= 0")
+    if t <= 0:
+        raise DomainError("bes_q_factor requires t > 0")
     z = np.asarray(z, dtype=complex)
     if (z.real == 0.0).any():
         raise DomainError("bes_q_factor undefined on the imaginary axis")

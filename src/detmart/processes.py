@@ -63,10 +63,3 @@ def process_from_dict(d: dict) -> ProcessKind:
             raise DomainError(f"process {kind} needs field 'nu'")
         return ProcessKind(kind, float(d["nu"]))
     raise DomainError(f"unknown process kind {kind!r}")
-
-
-def process_to_dict(p: ProcessKind) -> dict:
-    d = {"kind": p.tag}
-    if p.nu is not None:
-        d["nu"] = p.nu
-    return d

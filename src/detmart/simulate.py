@@ -11,10 +11,12 @@ ground truth the walk estimators are tested against.
 
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
-blocks are distributed over workers.  The imaginary companions of a block
-come from one loop, ``_companion_block``, on a stream of their own: keyed
-by (seed2, block) in ``attach_companions`` (the CLI passes seed + 1) and
-by (seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  The walk's
+blocks are distributed over workers.  Every block loop (the samplers, the
+estimators, ``reducibility_check`` and the O'Connell estimators) is
+``_run_blocks``.  The imaginary companions of a block come from one loop,
+``_companion_block``, on a stream of their own: keyed by (seed2, block) in
+``attach_companions`` (the CLI passes seed + 1) and by
+(seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  The walk's
 C(t) sampler draws a data-dependent number of variates from that stream,
 so its output still depends on (seed, block) alone.
 
@@ -134,16 +136,6 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def _blocks(n_paths: int):
-    start = 0
-    block = 0
-    while start < n_paths:
-        size = min(BLOCK, n_paths - start)
-        yield block, start, size
-        start += size
-        block += 1
-
-
 def _check_times(process: ProcessKind, times) -> tuple:
     ts = tuple(float(t) for t in times)
     if not all(math.isfinite(t) for t in ts):
@@ -163,17 +155,17 @@ def sample_free(
     """Independent free paths from u_j, exact transition sampling."""
     ts = _check_times(process, times)
     u = np.asarray(u, dtype=float)
-    n_particles = len(u)
     if process.tag == "BESQ" and (u < 0).any():
         raise DomainError("BESQ starts must be nonnegative")
     if process.tag == "BES" and (u < 0).any():
         raise DomainError("BES starts must be nonnegative")
     if process.tag == "RW" and any(not float(v).is_integer() for v in u):
         raise DomainError("walk starts must be integers")
-    out = np.empty((n_paths, len(ts), n_particles))
-    for block, start, size in _blocks(n_paths):
-        rng = stream(seed, block)
-        out[start : start + size] = _sample_free_block(process, u, ts, size, rng)
+
+    def one_block(block, size):
+        return _sample_free_block(process, u, ts, size, stream(seed, block))
+
+    out = _run_blocks(n_paths, 1, one_block)
     return PathEnsemble(process=process, times=ts, paths=out, seed=int(seed))
 
 
@@ -230,12 +222,13 @@ def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
     proc = ens.process
     if proc.tag not in ("BM", "BES", "RW"):
         raise DomainError(f"no complex companion defined for {proc}")
-    comp = np.empty_like(ens.paths)
     n_particles = ens.paths.shape[2]
-    for block, start, size in _blocks(ens.n_paths):
-        comp[start : start + size] = _companion_block(
-            proc, ens.times, size, n_particles, stream(seed2, block)
-        )
+
+    def one_block(block, size):
+        rng = stream(seed2, block)
+        return _companion_block(proc, ens.times, size, n_particles, rng)
+
+    comp = _run_blocks(ens.n_paths, 1, one_block)
     return PathEnsemble(
         process=proc,
         times=ens.times,
@@ -292,19 +285,16 @@ def cpr_weight(
 
 
 def _run_blocks(n_paths, workers, block_fn):
-    chunks = list(_blocks(n_paths))
-    results = [None] * len(chunks)
+    """``block_fn(block, size)`` over blocks of BLOCK paths (the last one
+    shorter), on ``workers`` threads, concatenated in block order."""
+    if n_paths < 1:
+        raise DomainError("need at least one path")
+    sizes = [min(BLOCK, n_paths - start) for start in range(0, n_paths, BLOCK)]
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {
-                pool.submit(block_fn, block, size): i
-                for i, (block, _, size) in enumerate(chunks)
-            }
-            for fut, i in futs.items():
-                results[i] = fut.result()
+            results = list(pool.map(block_fn, range(len(sizes)), sizes))
     else:
-        for i, (block, _, size) in enumerate(chunks):
-            results[i] = block_fn(block, size)
+        results = list(map(block_fn, range(len(sizes)), sizes))
     return np.concatenate(results)
 
 
@@ -411,12 +401,13 @@ def sample_noncolliding_rw(
     horizon = int(ts[-1])
     moves = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=float)
     record = {int(t): i for i, t in enumerate(ts)}
-    out = np.empty((n_paths, len(ts), n))
-    for block, start, size in _blocks(n_paths):
+
+    def one_block(block, size):
         rng = stream(seed, block)
+        out = np.empty((size, len(ts), n))
         state = np.broadcast_to(u, (size, n)).copy()
         if 0 in record:
-            out[start : start + size, record[0], :] = state
+            out[:, record[0], :] = state
         for step in range(1, horizon + 1):
             cand = state[:, None, :] + moves[None, :, :]  # (size, 2^n, n)
             h_new = cfg.vandermonde(cand)
@@ -433,7 +424,10 @@ def sample_noncolliding_rw(
             pick = (draws[:, None] >= cum).sum(axis=1)
             state = cand[np.arange(size), pick, :]
             if step in record:
-                out[start : start + size, record[step], :] = state
+                out[:, record[step], :] = state
+        return out
+
+    out = _run_blocks(n_paths, 1, one_block)
     return PathEnsemble(process=rw(), times=ts, paths=out, seed=int(seed))
 
 
@@ -464,14 +458,19 @@ def sample_noncolliding(
     cells = math.prod(_matrix_model(process, u)[0])
     if cells > _MAX_CELLS:
         raise CapacityError(f"matrix model of {cells} > {_MAX_CELLS} entries")
-    # a block's chunks are drawn in order from its stream
     chunk = max(1, _CHUNK_CELLS // cells)
-    out = np.empty((n_paths, len(ts), len(u)))
-    for block, start, size in _blocks(n_paths):
+
+    def one_block(block, size):
+        # a block's chunks are drawn in order from its stream
         rng = stream(seed, block)
-        for lo in range(start, start + size, chunk):
-            hi = min(lo + chunk, start + size)
-            out[lo:hi] = _noncolliding_chunk(process, u, ts, hi - lo, rng)
+        return np.concatenate(
+            [
+                _noncolliding_chunk(process, u, ts, min(chunk, size - lo), rng)
+                for lo in range(0, size, chunk)
+            ]
+        )
+
+    out = _run_blocks(n_paths, 1, one_block)
     return PathEnsemble(process=process, times=ts, paths=out, seed=int(seed))
 
 
@@ -606,18 +605,15 @@ def reducibility_check(
     u = np.array(sup)
     cmat_full = np.column_stack([cfg.phi_coeffs(xi, v) for v in sup])
 
-    # left side: one ensemble from the full configuration
-    lhs_vals = np.zeros(n_paths)
-    for block, start, size in _blocks(n_paths):
-        rng = stream(seed, block)
-        paths = _sample_free_block(process, u, grid, size, rng)
-        dets = det_weight(process, xi, horizon, paths[:, -1, :])
-        acc = np.zeros(size)
-        for subset in itertools.combinations(range(n), n_prime):
-            sub = np.sort(paths[:, 0, list(subset)], axis=1)
-            acc += np.asarray(observable(sub[:, None, :]), dtype=float)
-        lhs_vals[start : start + size] = acc * dets
-    lhs = Estimate.from_samples(lhs_vals)
+    # left side: one ensemble from the full configuration; the sum over
+    # n'-subsets of the positions does not depend on the labels
+    def subset_sum(pos):
+        return sum(
+            np.asarray(observable(pos[:, :, list(sub)]), dtype=float)
+            for sub in itertools.combinations(range(n), n_prime)
+        )
+
+    lhs = dmr_expectation(process, xi, subset_sum, ts, n_paths, seed, T=horizon)
 
     # right side: one ensemble per ordered support subset
     rhs_mean = 0.0
@@ -626,17 +622,18 @@ def reducibility_check(
     for si, subset in enumerate(itertools.combinations(range(n), n_prime)):
         v = u[list(subset)]
         cmat = cmat_full[:, list(subset)]
-        vals = np.zeros(n_paths)
-        for block, start, size in _blocks(n_paths):
-            rng = stream(seed + 7919 * (si + 1), block)
-            paths = _sample_free_block(process, v, grid, size, rng)
+        key = seed + 7919 * (si + 1)
+
+        def one_block(block, size):
+            paths = _sample_free_block(process, v, grid, size, stream(key, block))
             mvals = mart.poly_values(process, n - 1, horizon, paths[:, -1, :])
             dets = np.linalg.det(mvals @ cmat)
             obs = np.asarray(
                 observable(np.sort(paths[:, :1, :], axis=2)), dtype=float
             )
-            vals[start : start + size] = obs * dets
-        est = Estimate.from_samples(vals)
+            return obs * dets
+
+        est = Estimate.from_samples(_run_blocks(n_paths, 1, one_block))
         rhs_mean += est.mean
         rhs_var += est.std_error**2
         count += 1

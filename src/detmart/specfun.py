@@ -208,8 +208,8 @@ def entire_bessel_series(nu: float, q):
     """The entire function e_nu(q) = sum_m q^m / (m! Gamma(m + nu + 1)).
 
     J_nu(z) = (z/2)^nu e_nu(-z^2/4) and I_nu(z) = (z/2)^nu e_nu(z^2/4);
-    the left-hand sides are multivalued in z, e_nu is not, which is what
-    the complex contour integrands need.  Accepts real or complex arrays.
+    the left-hand sides are multivalued in z, e_nu is not, and
+    e_nu' = e_{nu+1}.  Accepts real or complex arrays.
     """
     q = np.asarray(q)
     if not np.issubdtype(q.dtype, np.complexfloating):

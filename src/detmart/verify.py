@@ -23,7 +23,7 @@ from . import specfun
 from .errors import DomainError
 from .processes import besq, bm, rw
 
-__all__ = ["SUITES", "run_suite", "all_suites"]
+__all__ = ["SUITES", "run_suite"]
 
 
 def _check(name: str, measured: float, tolerance: float) -> dict:
@@ -561,7 +561,3 @@ def run_suite(name: str) -> list:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()
-
-
-def all_suites() -> dict:
-    return {name: fn() for name, fn in SUITES.items()}

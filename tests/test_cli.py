@@ -439,6 +439,21 @@ class TestExitCodes:
         assert run([command, write_config(tmp_path, config)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_bes_cpr_at_horizon_zero_exits_2(self, tmp_path, capsys):
+        # the BES(n + 1/2) weight divides by the horizon
+        config = json.loads(json.dumps(VALID["estimate"]))
+        config.update(
+            schema="detmart/1",
+            command="estimate",
+            estimator="cpr",
+            process={"kind": "BES", "nu": 1.5},
+            xi={"atoms": [[1.0, 1], [2.5, 1]]},
+            times=[0.0],
+            output={"path": str(tmp_path / "out")},
+        )
+        assert run(["estimate", write_config(tmp_path, config)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_numeric_error_maps_to_3(self, tmp_path, monkeypatch):
         from detmart import simulate
         from detmart.errors import NumericError

@@ -4,12 +4,34 @@ import numpy as np
 import pytest
 
 from detmart import configurations as cfg
+from detmart import specfun
 from detmart.errors import DomainError
 from detmart.processes import besq, bm, rw
 
 
 def simple(*points):
     return cfg.PointConfiguration.from_points(points)
+
+
+def contour_phi(process, xi, u, s, x, z, nodes=256):
+    """Reference: the residue at u of the two-time Phi integrand by a fixed
+    trapezoid rule on a circle around u that excludes z and the other
+    support points."""
+    others = [r for r, _ in xi.atoms if r != u]
+    radius = min([1.0, 0.5 * abs(z - u)] + [0.5 * abs(r - u) for r in others])
+    ring = radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    zeta = u + ring
+    if process.tag == "BM":
+        ratio = np.exp((-((x - zeta) ** 2) + (x - u) ** 2) / (2.0 * s))
+    else:
+        scale = 4.0 * s * s
+        num = specfun.entire_bessel_series(process.nu, x * zeta / scale)
+        den = specfun.entire_bessel_series(process.nu, x * u / scale)
+        ratio = np.exp(-(zeta - u) / (2.0 * s)) * num / den
+    vals = ratio / (z - zeta)
+    for r, m in xi.atoms:
+        vals = vals * ((z - r) / (zeta - r)) ** m
+    return complex(np.mean(vals * ring))
 
 
 class TestPointConfiguration:
@@ -150,8 +172,6 @@ class TestPhiTwoTime:
     def test_concentrated_matches_hermite_sum(self):
         # all mass at the origin: the polynomial is the Hermite sum
         # sum_{n<N} (z/sqrt(2s))^n H_n(x/sqrt(2s)) / n!
-        from detmart import specfun
-
         N = 3
         xi = cfg.PointConfiguration(((0.0, N),))
         rng = np.random.default_rng(17)
@@ -175,9 +195,49 @@ class TestPhiTwoTime:
         assert len(co) == xi.total()
         rng = np.random.default_rng(3)
         for z in rng.uniform(-2, 2, size=5):
-            got = cfg.phi_twotime(bm(), xi, 0.0, s, x, complex(z))
+            got = contour_phi(bm(), xi, 0.0, s, x, complex(z))
             want = np.polynomial.polynomial.polyval(z, co)
-            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "process, atoms",
+        [
+            (bm(), ((-1.0, 2), (0.5, 1), (1.7, 3))),
+            (besq(1.0), ((0.3, 2), (1.5, 2))),
+        ],
+    )
+    def test_matches_contour_integral(self, process, atoms):
+        xi = cfg.PointConfiguration(atoms)
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            s = rng.uniform(0.3, 1.5)
+            x = rng.uniform(0.1, 2.5)
+            for u in xi.support():
+                for _ in range(3):
+                    z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-1.0, 1.0))
+                    got = cfg.phi_twotime(process, xi, u, s, x, z)
+                    want = contour_phi(process, xi, u, s, x, z)
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_length_kept_when_top_coefficient_vanishes(self):
+        # BM, all mass at 0, x = 0: Phi = 1 + H_1(0) z / sqrt(2s) = 1
+        xi = cfg.PointConfiguration(((0.0, 2),))
+        co = cfg.phi_twotime_coeffs(bm(), xi, 0.0, 0.8, 0.0)
+        assert co.tolist() == [1.0, 0.0]
+
+    def test_value_at_u_is_one(self):
+        # c_0 = prod_{r != u} (u - r)^{-m_r}, so Phi((s, x); u) = 1
+        xi = cfg.PointConfiguration(((-1.0, 2), (0.5, 1), (1.7, 3)))
+        for u in (-1.0, 1.7):
+            co = cfg.phi_twotime_coeffs(bm(), xi, u, 0.6, 0.9)
+            got = cfg.phi_twotime(bm(), xi, u, 0.6, 0.9, u)
+            assert got == np.polynomial.polynomial.polyval(u, co)
+            assert abs(got - 1.0) <= 1e-12
+
+    def test_nonpositive_s_rejected(self):
+        xi = cfg.PointConfiguration(((0.0, 2),))
+        with pytest.raises(DomainError):
+            cfg.phi_twotime_coeffs(bm(), xi, 0.0, 0.0, 0.0)
 
     def test_rw_rejected(self):
         with pytest.raises(DomainError):

@@ -300,6 +300,11 @@ class TestBesMartingalePieces:
     def test_q_factor_direct_substitution(self):
         assert mart.bes_q_factor(1, 2.0, 1.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_q_factor_rejects_nonpositive_time(self, t):
+        with pytest.raises(DomainError):
+            mart.bes_q_factor(1, t, 1.0 + 0.5j)
+
     def test_transform_monomial_normalization(self):
         for t, x in ((0.5, 1.0), (2.0, 0.7)):
             assert mart.bes_transform_monomial(0, 0, t, x) == pytest.approx(

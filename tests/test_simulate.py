@@ -568,3 +568,40 @@ class TestDmrVsInteractingSampler:
         vals = F(np.sort(ens.paths, axis=2))
         b = sim.Estimate.from_samples(vals)
         assert abs(a.mean - b.mean) <= 4 * a.combined_se(b)
+
+
+# every sampler, as a function of the path count, returning its path array
+SAMPLERS = {
+    "free": lambda n: sim.sample_free(bm(), [0.0, 1.0], [0.5], n, seed=8).paths,
+    "companions": lambda n: sim.attach_companions(
+        sim.sample_free(rw(), [0.0, 2.0], [2], n, seed=8), 9
+    ).companions,
+    "noncolliding_rw": lambda n: sim.sample_noncolliding_rw(
+        simple(0.0, 2.0), [1, 3], n, seed=8
+    ).paths,
+    # 6 matrix cells per path: a block is drawn in several chunks
+    "noncolliding": lambda n: sim.sample_noncolliding(
+        besq(1.0), simple(0.5, 1.5), [0.5], 0.01, n, seed=8
+    ).paths,
+}
+
+ESTIMATORS = {
+    "dmr": lambda n: sim.dmr_expectation(bm(), simple(0.0, 1.0), ones, [0.5], n, 1),
+    "cpr": lambda n: sim.cpr_expectation(bm(), simple(0.0, 1.0), ones, [0.5], n, 1),
+    "reducibility": lambda n: sim.reducibility_check(
+        bm(), simple(0.0, 1.0), 1, ones, 0.5, n, 1
+    ),
+}
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_first_block_is_a_prefix(self, name):
+        longer = SAMPLERS[name](sim.BLOCK + 5)
+        assert longer.shape[0] == sim.BLOCK + 5
+        assert (longer[: sim.BLOCK] == SAMPLERS[name](sim.BLOCK)).all()
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS) + sorted(ESTIMATORS))
+    def test_no_paths_refused(self, name):
+        with pytest.raises(DomainError):
+            {**SAMPLERS, **ESTIMATORS}[name](0)

@@ -1,0 +1,57 @@
+"""Static scan of the package source, standing in for a linter: no unused
+import, and no module-level ``_private`` function that nothing calls.
+
+``__init__.py`` re-exports what it imports, so its imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "detmart"
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(tree):
+    """Every bare name read and every attribute name taken in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{name}:{line} imports {imported}"
+        for name, tree in TREES.items()
+        if name != "__init__.py"
+        for line, imported in _imported_names(tree)
+        if imported not in _used_names(tree)
+    ]
+    assert not unused, unused
+
+
+def test_no_uncalled_private_functions():
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    dead = [
+        f"{name}:{node.lineno} defines {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not dead, dead
