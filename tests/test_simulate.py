@@ -110,12 +110,15 @@ class TestDetWeight:
         assert abs(est.mean - 1.0) <= 4 * est.std_error
 
 
-def lapack_det_weight(process, xi, T, ends):
+def matrix_det_weight(process, xi, T, ends):
     """The matrix route the closed form replaced: det of the martingale
-    values M_xi^{u_k}(T, V_j) assembled from monomial coefficients."""
+    values M_xi^{u_k}(T, V_j) assembled from monomial coefficients, in
+    extended precision (in double it misses h(V)/h(u) by 1e-9 at N = 4,
+    T = 1: BESQ(1/2), u = (1, 2.5, 3, 3.25), V = (0.5, 0.75, 1, 2))."""
     sup = xi.support()
     cmat = np.column_stack([cfg.phi_coeffs(xi, u) for u in sup])
-    return np.linalg.det(mart.poly_values(process, len(sup) - 1, T, ends) @ cmat)
+    mats = mart.poly_values(process, len(sup) - 1, T, ends.astype(np.longdouble)) @ cmat
+    return np.array([cfg.det_longdouble(m) for m in mats])
 
 
 def lapack_cpr_weight(process, xi, T, z):
@@ -140,8 +143,8 @@ def weight_case(draw, tag):
     lie in [0.25, 2.25] (distinct sites for the walk).  The matrix routes
     lose digits as N and T grow (the lower coefficients of the BESQ m_l
     grow like (2T)^l l!: at N = 4, T = 2 BESQ(0) misses h(u)/h(u) = 1 by
-    1.5e-9), so BESQ horizons stay below 1; verify martingales covers
-    N = 5 in extended precision."""
+    1.5e-9), so BESQ horizons stay below 1; the det route runs in extended
+    precision, and verify martingales covers N = 5."""
     n = draw(st.integers(2, 4))
     lo = 0.0 if tag in ("BESQ", "BES") else float(draw(st.integers(-6, 0)))
     gaps = st.integers(1, 3).map(float) if tag == "RW" else st.floats(0.25, 2.25)
@@ -172,7 +175,7 @@ class TestWeightClosedForms:
         xi = simple(*starts)
         np.testing.assert_allclose(
             sim.det_weight(proc, xi, T, ends),
-            lapack_det_weight(proc, xi, T, ends),
+            matrix_det_weight(proc, xi, T, ends),
             rtol=1e-9,
         )
 
