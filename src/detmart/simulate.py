@@ -9,6 +9,11 @@ BES(n + 1/2), h the Vandermonde product; no matrix is formed.
 ``brute_force_rw`` enumerates every walk outcome exactly and is the
 ground truth the walk estimators are tested against.
 
+Free transitions over dt take one variate per coordinate: BM adds
+sqrt(dt) Z; BESQ(nu) is dt chi'^2_{2 nu + 2}(x / dt), a noncentral chi^2,
+and BES(nu) its square root at noncentrality x^2 / dt; the walk adds
+2 B - steps, B the set bits of ``steps`` uniform bits in words of <= 64.
+
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
 blocks are distributed over workers.  Every block loop (the samplers, the
@@ -155,10 +160,8 @@ def sample_free(
     """Independent free paths from u_j, exact transition sampling."""
     ts = _check_times(process, times)
     u = np.asarray(u, dtype=float)
-    if process.tag == "BESQ" and (u < 0).any():
-        raise DomainError("BESQ starts must be nonnegative")
-    if process.tag == "BES" and (u < 0).any():
-        raise DomainError("BES starts must be nonnegative")
+    if process.tag in ("BESQ", "BES") and (u < 0).any():
+        raise DomainError(f"{process.tag} starts must be nonnegative")
     if process.tag == "RW" and any(not float(v).is_integer() for v in u):
         raise DomainError("walk starts must be integers")
 
@@ -180,16 +183,17 @@ def _sample_free_block(process, u, ts, size, rng):
             if process.tag == "BM":
                 state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
             elif process.tag == "BESQ":
-                mix = rng.poisson(state / (2.0 * dt))
-                state = 2.0 * dt * rng.standard_gamma(process.nu + 1.0 + mix)
+                state = dt * rng.noncentral_chisquare(2 * process.nu + 2, state / dt)
             elif process.tag == "BES":
-                sq = state * state
-                mix = rng.poisson(sq / (2.0 * dt))
-                state = np.sqrt(2.0 * dt * rng.standard_gamma(process.nu + 1.0 + mix))
+                sq = dt * rng.noncentral_chisquare(2 * process.nu + 2, state**2 / dt)
+                state = np.sqrt(sq)
             elif process.tag == "RW":
-                steps = int(round(dt))
-                jumps = rng.integers(0, 2, size=state.shape + (steps,)) * 2 - 1
-                state = state + jumps.sum(axis=-1)
+                steps, heads = int(round(dt)), np.zeros(state.shape, np.int64)
+                for lo in range(0, steps, 64):
+                    k = min(64, steps - lo)
+                    bits = rng.integers(0, 1 << k, size=state.shape, dtype=np.uint64)
+                    heads += np.bitwise_count(bits)
+                state = state + 2 * heads - steps
             else:
                 raise DomainError(f"unsupported process {process}")
         out[:, m, :] = state
@@ -551,7 +555,6 @@ def brute_force_rw(
     if bits > 24:
         raise CapacityError("enumeration bounded by 2^(N T) <= 2^24 outcomes")
     total = 1 << bits
-    cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in u])
     h_u = cfg.vandermonde(u)
     free_acc = 0.0
     doob_acc = 0.0
@@ -616,9 +619,7 @@ def reducibility_check(
     lhs = dmr_expectation(process, xi, subset_sum, ts, n_paths, seed, T=horizon)
 
     # right side: one ensemble per ordered support subset
-    rhs_mean = 0.0
-    rhs_var = 0.0
-    count = 0
+    rhs_mean = rhs_var = 0.0
     for si, subset in enumerate(itertools.combinations(range(n), n_prime)):
         v = u[list(subset)]
         cmat = cmat_full[:, list(subset)]
@@ -636,6 +637,6 @@ def reducibility_check(
         est = Estimate.from_samples(_run_blocks(n_paths, 1, one_block))
         rhs_mean += est.mean
         rhs_var += est.std_error**2
-        count += 1
+    count = math.comb(n, n_prime)
     rhs = Estimate(mean=rhs_mean, std_error=math.sqrt(rhs_var), n=n_paths * count)
     return lhs, rhs

@@ -130,11 +130,10 @@ def log_gamma(z):
     left = ~right
     if left.any():
         zl = z[left]
-        ls = np.where(
-            zl.imag >= 0.0,
-            _log_sin_pi_upper(zl),
-            np.conj(_log_sin_pi_upper(np.conj(zl))),
-        )
+        # log sin(pi conj z) = conj log sin(pi z): one evaluation per point
+        upper = zl.imag >= 0.0
+        ls = _log_sin_pi_upper(np.where(upper, zl, np.conj(zl)))
+        ls = np.where(upper, ls, np.conj(ls))
         out[left] = math.log(math.pi) - ls - _log_gamma_right(1.0 - zl)
     return out[0] if scalar else out
 

@@ -68,6 +68,58 @@ class TestSampleFree:
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(hist[i] / n - p) <= 5 * se + 1e-4
 
+    @pytest.mark.parametrize(
+        "proc, x0, times, hi, seed",
+        [
+            (besq(0.0), 2.0, (0.35, 0.7), 12.0, 21),
+            (besq(0.5), 1.5, (0.25, 0.5), 10.0, 22),
+            (besq(1.0), 3.0, (0.6, 1.2), 18.0, 23),
+            (besq(0.5), 0.0, (0.4, 0.8), 10.0, 24),  # noncentrality 0
+            (besq(-0.3), 0.0, (0.3, 0.6), 6.0, 25),
+            (bes(1.5), 1.0, (0.5, 1.0), 5.0, 26),
+            (bes(1.5), 0.0, (0.5, 1.0), 5.0, 27),
+        ],
+    )
+    def test_marginals_match_density(self, proc, x0, times, hi, seed):
+        # both time slices, so the second transition starts from a random
+        # state; BESQ bin masses are integrated in u = sqrt(y), BES in y
+        n = 200_000
+        ens = sim.sample_free(proc, [x0], times, n, seed=seed)
+        edges = np.linspace(0.0, hi, 21)
+        for m, t in enumerate(times):
+            hist, _ = np.histogram(ens.paths[:, m, 0], bins=edges)
+            for i in range(len(edges) - 1):
+                if proc.tag == "BESQ":
+                    lo_hi = math.sqrt(edges[i]), math.sqrt(edges[i + 1])
+                    grid = np.linspace(*lo_hi, 201)
+                    grid[grid == 0.0] = 1e-12
+                    dens = specfun.transition_density(proc, t, grid**2, x0) * 2 * grid
+                else:
+                    grid = np.linspace(edges[i], edges[i + 1], 201)
+                    dens = specfun.transition_density(proc, t, grid, x0)
+                p = float(np.trapezoid(dens, grid))
+                se = math.sqrt(max(p * (1 - p), 1e-12) / n)
+                assert abs(hist[i] / n - p) <= 5 * se + 1e-4, (t, i)
+
+    @pytest.mark.parametrize("steps", [1, 3, 64, 65, 130])
+    def test_walk_increments_binomial(self, steps):
+        # increments are 2 * Binomial(steps, 1/2) - steps; 64 fair bits are
+        # drawn per word, so 65 and 130 steps take two and three words
+        n = 100_000
+        ens = sim.sample_free(rw(), [0, 2], [steps, 2 * steps], n, seed=steps)
+        incs = np.concatenate(
+            [ens.paths[:, 0, :] - [0, 2], ens.paths[:, 1, :] - ens.paths[:, 0, :]]
+        ).ravel()
+        heads = (incs + steps) / 2
+        assert (heads == np.round(heads)).all()
+        counts = np.bincount(heads.astype(int), minlength=steps + 1)
+        assert len(counts) == steps + 1
+        total = len(incs)
+        for k in range(steps + 1):
+            p = math.comb(steps, k) / 2.0**steps
+            se = math.sqrt(max(p * (1 - p), 1e-12) / total)
+            assert abs(counts[k] / total - p) <= 5 * se + 1e-4, k
+
 
 class TestCompanions:
     def test_companion_zero_at_time_zero(self):

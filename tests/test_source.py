@@ -1,5 +1,6 @@
 """Static scan of the package source, standing in for a linter: no unused
-import, and no module-level ``_private`` function that nothing calls.
+import, no module-level ``_private`` function that nothing calls, and no
+function-local name that is assigned and never read.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -53,5 +54,31 @@ def test_no_uncalled_private_functions():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in used
+    ]
+    assert not dead, dead
+
+
+def _unread_locals(fn):
+    """Names ``fn`` (nested scopes included) assigns and never reads;
+    ``_`` and names declared global or nonlocal are exempt."""
+    stored, read = {}, {"_"}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            else:
+                read.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            read.update(node.names)
+    return [(line, name) for name, line in stored.items() if name not in read]
+
+
+def test_no_unread_local_names():
+    dead = [
+        f"{name}:{line} {fn.name} assigns {local} and never reads it"
+        for name, tree in TREES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for line, local in _unread_locals(fn)
     ]
     assert not dead, dead

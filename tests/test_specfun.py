@@ -78,6 +78,26 @@ class TestGamma:
         ref = np.array([specfun.gamma(complex(w)) for w in z])
         assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-10
 
+    def test_log_gamma_reflection_bit_identical_to_two_branches(self):
+        # the reflection used to evaluate log sin(pi z) on both half-planes
+        # and pick one; evaluating it once on the upper half-plane image and
+        # conjugating back must not move a bit
+        rng = np.random.default_rng(17)
+        re = rng.uniform(-8.0, 0.5, size=600)
+        im = rng.uniform(-6.0, 6.0, size=600)
+        im[::5] = 0.0
+        im[1::10] = -0.0
+        z = re + 1j * im
+        z = z[np.abs(z - np.round(z.real)) > 1e-3]  # off the poles
+        sin_upper = specfun._log_sin_pi_upper
+        ls = np.where(
+            z.imag >= 0.0, sin_upper(z), np.conj(sin_upper(np.conj(z)))
+        )
+        want = math.log(math.pi) - ls - specfun._log_gamma_right(1.0 - z)
+        got = specfun.log_gamma(z)
+        assert (z.imag == 0.0).sum() > 50 and (z.imag < 0).sum() > 50
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
 
 class TestOrthogonalPolynomials:
     def test_hermite_base_cases(self):
