@@ -77,6 +77,15 @@ def pole_distance(nu_hat: cfg.PointConfiguration, u: float, a: float, x) -> np.n
     return np.abs(w - nearest) / a
 
 
+def _check_poles(nu_hat: cfg.PointConfiguration, u: float, a: float, x) -> None:
+    """Raise if an argument lies within 1e-8 of a pole of Phi^{u,a}."""
+    dist = pole_distance(nu_hat, u, a, x)
+    if (dist < _POLE_TOL).any():
+        w = a * (u - x)
+        idx = int(np.clip(np.round(np.atleast_1d(w.real)[np.argmin(dist)]), 1, None))
+        raise DomainError(f"argument within 1e-8 of pole {idx} at {u} - {idx}/a")
+
+
 def phi_lift(nu_hat: cfg.PointConfiguration, u: float, a: float, x):
     """Lifted cardinal function; vectorized over complex x.
 
@@ -89,11 +98,7 @@ def phi_lift(nu_hat: cfg.PointConfiguration, u: float, a: float, x):
     if u not in sup:
         raise DomainError(f"{u} is not a drift component")
     x = np.asarray(x, dtype=complex)
-    dist = pole_distance(nu_hat, u, a, x)
-    if (dist < _POLE_TOL).any():
-        w = a * (u - x)
-        idx = int(np.clip(np.round(np.atleast_1d(w.real)[np.argmin(dist)]), 1, None))
-        raise DomainError(f"argument within 1e-8 of pole {idx} at {u} - {idx}/a")
+    _check_poles(nu_hat, u, a, x)
     acc = specfun.log_gamma(1.0 - a * (u - x))
     for r in sup:
         if r == u:
@@ -102,6 +107,30 @@ def phi_lift(nu_hat: cfg.PointConfiguration, u: float, a: float, x):
         acc = acc - specfun.log_gamma(a * (r - x))
     out = np.exp(acc)
     return complex(out) if out.ndim == 0 else out
+
+
+def _phi_lift_all(params: LiftParams, z: np.ndarray) -> np.ndarray:
+    """Phi^{u,a}(z) for every drift component u, stacked on a leading axis.
+
+    The sums are phi_lift's, term for term, but the log-gammas of a(r - z)
+    are evaluated once and shared by all components: 2N log-gammas per
+    point where N phi_lift calls take N^2.
+    """
+    sup = params.nu_hat.support()
+    a = params.a
+    for u in sup:
+        _check_poles(params.nu_hat, u, a, z)
+    shared = [specfun.log_gamma(a * (r - z)) for r in sup]
+    out = np.empty((len(sup),) + z.shape, dtype=complex)
+    for k, u in enumerate(sup):
+        acc = specfun.log_gamma(1.0 - a * (u - z))
+        for r, log_r in zip(sup, shared):
+            if r == u:
+                continue
+            acc = acc + specfun.log_gamma(np.asarray(a * (r - u), dtype=complex))
+            acc = acc - log_r
+        out[k] = np.exp(acc)
+    return out
 
 
 def _ridge_clearance(params: LiftParams) -> float:
@@ -117,13 +146,31 @@ def _ridge_clearance(params: LiftParams) -> float:
 
 
 def _lift_weight(params: LiftParams, z: np.ndarray) -> np.ndarray:
-    """det[Phi^{nu_k, a}(Z_j)] over a batch: z has shape (paths, N)."""
-    sup = params.nu_hat.support()
-    n = len(sup)
-    mat = np.empty(z.shape[:-1] + (n, n), dtype=complex)
-    for k, u in enumerate(sup):
-        mat[..., :, k] = phi_lift(params.nu_hat, u, params.a, z)
-    return np.linalg.det(mat)
+    """det[Phi^{nu_k,a}(Z_j)] over a batch, z of shape (paths, N), in closed form.
+
+    With c_k = prod_{r != k} Gamma(a(u_r - u_k)), Gamma(w) Gamma(1 - w) =
+    pi / sin(pi w) turns the entries into pi c_k / (sin(pi a(u_k - x_j))
+    prod_r Gamma(a(r - x_j))), and the trigonometric Cauchy determinant gives
+
+        prod_k c_k prod_{k<l} sin(pi a(u_k - u_l)) sin(pi a(x_l - x_k))
+        * prod_{j,k} Gamma(1 - a(u_k - x_j)) / pi^{N(N-1)},
+
+    each Cauchy-denominator sine having cancelled one 1/Gamma.  The same
+    formula pairs the constants, Gamma(w) Gamma(-w) sin(-pi w) = pi / w, so
+
+        det = prod_{k<l} sin(pi a(x_l - x_k)) / (pi a(u_l - u_k))
+              * prod_{j,k} Gamma(1 + a(x_j - u_k)):
+
+    N^2 log-gammas per path, no matrix, and no poles but phi_lift's own.
+    As a -> 0 it tends to the Vandermonde ratio h(x) / h(u).
+    """
+    u = np.array(params.nu_hat.support())
+    a = params.a
+    out = np.exp(specfun.log_gamma(1.0 + a * (z[:, :, None] - u)).sum(axis=(1, 2)))
+    for k in range(len(u)):
+        for m in range(k + 1, len(u)):
+            out *= np.sin(math.pi * a * (z[:, m] - z[:, k])) / (math.pi * a * (u[m] - u[k]))
+    return out
 
 
 def oconnell_theta_cpr(
@@ -133,7 +180,8 @@ def oconnell_theta_cpr(
 
     E[prod_j 1(Re Z_j(1/t) >= h/t) det Phi^{nu_k,a}(Z_j(1/t))] with
     Z_j = nu_j + B_j + i W_j.  Paths within pole tolerance are rejected
-    and counted; more than 0.01% rejections fails the run.
+    and counted; more than 0.01% rejections fails the run.  Of the paths
+    kept, only those with the indicator on are weighted; the rest are 0.
     """
     sup = np.array(params.nu_hat.support())
     n = len(sup)
@@ -151,10 +199,11 @@ def oconnell_theta_cpr(
                 pole_distance(params.nu_hat, u, params.a, z) >= _POLE_TOL
             ).all(axis=1)
         z = z[keep]
-        real = real[keep]
-        weights = _lift_weight(params, z)
-        indicator = (real >= threshold).all(axis=1)
-        return indicator * weights
+        on = (z.real >= threshold).all(axis=1)
+        values = np.zeros(len(z), dtype=complex)
+        if on.any():
+            values[on] = _lift_weight(params, z[on])
+        return values
 
     values = simulate._run_blocks(n_paths, workers, one_block)
     rejected = n_paths - len(values)
@@ -166,69 +215,77 @@ def oconnell_theta_cpr(
     return simulate.Estimate.from_samples(values)
 
 
-def _lift_transform(params: LiftParams, u: float, x: np.ndarray, order: int):
-    """E_g[Phi^{u,a}(x + i g)] with g centered Gaussian of variance 1/t."""
+# the Gauss-Hermite order the stability doubling of the transform starts
+# from, and the Chebyshev node count of the transform table
+_QUAD_START = 128
+_TABLE_NODES = 96
+
+
+def _lift_transform(params: LiftParams, x: np.ndarray, order: int) -> np.ndarray:
+    """E_g[Phi^{u,a}(x + i g)], g centered Gaussian of variance 1/t, for
+    every drift component u: shape x.shape + (N,)."""
     nodes, weights = quadrature.gauss_hermite(order)
     scale = math.sqrt(2.0 / params.t)
     z = x[..., None] + 1j * scale * nodes
-    vals = phi_lift(params.nu_hat, u, params.a, z)
-    return (vals @ weights) / math.sqrt(math.pi)
+    vals = _phi_lift_all(params, z) @ weights
+    return np.moveaxis(vals, 0, -1) / math.sqrt(math.pi)
 
 
-def _stable_order(params: LiftParams, probe: np.ndarray, start: int = 128) -> int:
-    order = start
+def _stable_order(params: LiftParams, probe: np.ndarray) -> int:
+    order = _QUAD_START
+    low = _lift_transform(params, probe, order)
     while order <= 1024:
-        a = np.concatenate(
-            [_lift_transform(params, u, probe, order) for u in params.nu_hat.support()]
-        )
-        b = np.concatenate(
-            [
-                _lift_transform(params, u, probe, 2 * order)
-                for u in params.nu_hat.support()
-            ]
-        )
-        if np.max(np.abs(a - b)) <= 1e-8:
+        high = _lift_transform(params, probe, 2 * order)
+        if np.max(np.abs(low - high)) <= 1e-8:
             return 2 * order
-        order *= 2
+        low, order = high, 2 * order
     raise NumericError("quadrature transform did not stabilize by order 1024")
 
 
 class _TransformTable:
-    """Chebyshev interpolant of x -> E_g[Phi^{u,a}(x + i g)] on [lo, hi].
+    """Chebyshev interpolant of x -> E_g[Phi^{u,a}(x + i g)] on [lo, hi],
+    for all drift components u at once (coefficients of shape (nodes, N)).
 
     The transform is analytic with its nearest singularities on the pole
     ladder, so a modest node count reaches full precision; a spot self
     check against direct quadrature guards the construction.
     """
 
-    def __init__(self, params, u, lo, hi, order, nodes=96):
+    def __init__(self, params, lo, hi, order):
         self.lo, self.hi = lo, hi
-        k = np.arange(nodes)
-        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * math.pi / (2 * nodes))
-        vals = _lift_transform(params, u, x, order)
+        k = np.arange(_TABLE_NODES)
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
+            (2 * k + 1) * math.pi / (2 * _TABLE_NODES)
+        )
+        vals = _lift_transform(params, x, order)
         scaled = (2.0 * x - (lo + hi)) / (hi - lo)
-        self.coef = np.polynomial.chebyshev.chebfit(scaled, vals, nodes - 1)
+        coef = np.polynomial.chebyshev.chebfit(scaled, vals, _TABLE_NODES - 1)
+        # real and imaginary parts interleaved, (nodes, 2N): one real
+        # product with the Chebyshev-Vandermonde matrix evaluates them all
+        self.coef = np.ascontiguousarray(coef).view(float)
         check = np.linspace(lo, hi, 7)[1:-1]
-        direct = _lift_transform(params, u, check, order)
+        direct = _lift_transform(params, check, order)
         if np.max(np.abs(self(check) - direct)) > 1e-8:
             raise NumericError("transform interpolant failed its self check")
 
     def __call__(self, x):
+        """All components at x: shape x.shape + (N,)."""
         scaled = (2.0 * np.asarray(x) - (self.lo + self.hi)) / (self.hi - self.lo)
-        return np.polynomial.chebyshev.chebval(scaled, self.coef)
+        basis = np.polynomial.chebyshev.chebvander(scaled, _TABLE_NODES - 1)
+        return (basis @ self.coef).view(complex)
 
 
 def oconnell_theta_dmr(
     params: LiftParams,
     n_paths: int,
     seed: int,
-    quad_order: int = 128,
     workers: int = 1,
 ) -> simulate.Estimate:
     """Real-path estimate through the quadrature transform of the lift.
 
     Requires the first pole of every lifted factor to sit at least three
-    Gaussian standard deviations below the drift components.
+    Gaussian standard deviations below the drift components.  Only the
+    paths with the indicator on are weighted; the rest are 0.
     """
     clearance = _ridge_clearance(params)
     if clearance < 3.0:
@@ -242,27 +299,27 @@ def oconnell_theta_dmr(
     sigma = math.sqrt(tinv)
     threshold = params.h / params.t
     probe = np.concatenate([sup + d for d in (-3 * sigma, 0.0, 3 * sigma)])
-    order = _stable_order(params, probe, quad_order)
+    order = _stable_order(params, probe)
     lo = float(sup.min() - 6.0 * sigma)
     hi = float(sup.max() + 6.0 * sigma)
     first_pole = float(sup.max() - 1.0 / params.a)
-    tables = None
+    table = None
     if lo - first_pole > 1.5 * sigma:
-        tables = [_TransformTable(params, u, lo, hi, order) for u in sup]
+        table = _TransformTable(params, lo, hi, order)
 
     def one_block(block, size):
         rng = simulate.stream(seed, block)
         real = sup + sigma * rng.standard_normal((size, n))
-        mat = np.empty((size, n, n), dtype=complex)
-        if tables is not None and real.min() > lo and real.max() < hi:
-            for k in range(n):
-                mat[:, :, k] = tables[k](real)
-        else:
-            for k, u in enumerate(sup):
-                mat[:, :, k] = _lift_transform(params, u, real, order)
-        weights = np.linalg.det(mat)
-        indicator = (real >= threshold).all(axis=1)
-        return indicator * weights
+        on = (real >= threshold).all(axis=1)
+        values = np.zeros(size, dtype=complex)
+        if on.any():
+            rows = real[on]
+            if table is not None and rows.min() > lo and rows.max() < hi:
+                mat = table(rows)
+            else:
+                mat = _lift_transform(params, rows, order)
+            values[on] = np.linalg.det(mat)
+        return values
 
     values = simulate._run_blocks(n_paths, workers, one_block)
     return simulate.Estimate.from_samples(values)

@@ -331,57 +331,52 @@ def bessel_j_derivative(nu: float, x):
 def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
     """First ``count`` positive zeros of J_nu, Newton-refined.
 
-    The starting guess for the k-th zero is the McMahon-type value
-    (k + nu/2 - 1/4) pi; a bisection safeguard keeps Newton inside the
-    bracket between neighbouring guesses.
+    One sign scan of J_nu over a grid of step pi/2 brackets every zero at
+    once: the grid starts at max(nu, 1e-2), below the first zero, and
+    consecutive zeros are more than pi/2 apart, so no cell holds two.  One
+    safeguarded Newton loop then refines all zeros together, starting from
+    the McMahon-type value (k + nu/2 - 1/4) pi where it lies in its bracket
+    (the midpoint otherwise) and bisecting whenever a step leaves it.
     """
     if nu <= -1.0:
         raise DomainError("bessel_zeros requires nu > -1")
     if not 1 <= count <= 500:
         raise DomainError("bessel_zeros supports 1 <= count <= 500")
-    zeros = []
-    prev = 0.0
-    for k in range(1, count + 1):
-        guess = (k + nu / 2.0 - 0.25) * math.pi
-        # bracket the next zero by a sign-change scan; the guess itself can
-        # land past the true zero for large nu at small k
-        if k == 1:
-            a = max(nu, 1e-2)
-        else:
-            a = prev + 1e-6
-        fa = bessel_j(nu, a)
-        step = 0.5 * math.pi
-        b = a + step
-        scans = 0
-        fb = bessel_j(nu, b)
-        while fa * fb > 0.0:
-            a, fa = b, fb
-            b += step
-            fb = bessel_j(nu, b)
-            scans += 1
-            if scans > 400:
-                raise NumericError(f"zero {k} of J_{nu} not bracketed")
-        z = guess if a < guess < b else 0.5 * (a + b)
-        for _ in range(80):
-            f = bessel_j(nu, z)
-            if abs(f) <= 1e-14:
-                break
-            df = bessel_j_derivative(nu, z)
-            znew = z - f / df if df != 0.0 else 0.5 * (a + b)
-            if not (a < znew < b):
-                if fa * f < 0:
-                    b = z
-                else:
-                    a, fa = z, f
-                znew = 0.5 * (a + b)
-            z = znew
-        else:
-            raise NumericError(f"zero {k} of J_{nu} did not converge")
-        if abs(bessel_j(nu, z)) > 1e-12:
-            raise NumericError(f"zero {k} of J_{nu} refined poorly")
-        zeros.append(z)
-        prev = z
-    return BesselZeroTable(nu=nu, zeros=tuple(zeros))
+    start, step = max(nu, 1e-2), 0.5 * math.pi
+    # past the count-th zero, j_{nu,k} ~ (k + nu/2 - 1/4) pi; the grid is
+    # extended if the scan finds fewer sign changes
+    stop = (count + 0.5 * nu + 1.0) * math.pi
+    for _ in range(4):
+        grid = start + step * np.arange(int((stop - start) / step) + 2)
+        fgrid = bessel_j(nu, grid)
+        cells = np.flatnonzero((fgrid[:-1] > 0.0) != (fgrid[1:] > 0.0))[:count]
+        if len(cells) == count:
+            break
+        stop += count * math.pi
+    else:
+        raise NumericError(f"zero {len(cells) + 1} of J_{nu} not bracketed")
+    lo, hi, flo = grid[cells], grid[cells + 1], fgrid[cells]
+    guess = (np.arange(1, count + 1) + nu / 2.0 - 0.25) * math.pi
+    z = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    todo = np.arange(count)
+    for _ in range(80):
+        f = bessel_j(nu, z[todo])
+        moving = np.abs(f) > 1e-14
+        todo, f = todo[moving], f[moving]
+        if not len(todo):
+            break
+        zt = z[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            znew = zt - f / bessel_j_derivative(nu, zt)
+        out = ~((lo[todo] < znew) & (znew < hi[todo]))
+        left = out & (flo[todo] * f < 0)
+        right = out & ~left
+        hi[todo[left]] = zt[left]
+        lo[todo[right]], flo[todo[right]] = zt[right], f[right]
+        z[todo] = np.where(out, 0.5 * (lo[todo] + hi[todo]), znew)
+    else:
+        raise NumericError(f"zero {todo[0] + 1} of J_{nu} did not converge")
+    return BesselZeroTable(nu=nu, zeros=tuple(z))
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,116 @@ class TestPhiLift:
             oc.phi_lift(nu_hat, 0.0, 0.5, complex(-2.0))
 
 
+def matrix_weight(params, z):
+    """det[Phi^{nu_k,a}(Z_j)] from the public phi_lift and a LAPACK det."""
+    sup = params.nu_hat.support()
+    mat = np.empty(z.shape + (len(sup),), dtype=complex)
+    for k, u in enumerate(sup):
+        mat[..., k] = oc.phi_lift(params.nu_hat, u, params.a, z)
+    return np.linalg.det(mat)
+
+
+# (a, drifts, row, det) with det evaluated from the matrix of lifted
+# cardinal functions in 40-digit mpmath; each row is the one of 400 random
+# rows that the double-precision matrix route gets worst
+MPMATH_WEIGHTS = [
+    (0.001, [-0.86, 0.93], [0.352 + 2.368j, 0.552 + 2.305j],
+     0.1114315960608207 - 0.03576207529651759j),
+    (0.065, [1.26, 1.68], [0.314 - 1.97j, 0.134 - 2.332j],
+     -0.07194429111675735 - 1.1027286364928446j),
+    (0.001, [-0.95, 0.71, 1.14], [-1.235 + 0.053j, 1.349 + 1.538j, 1.374 + 1.523j],
+     0.1538285630738923 + 0.08182896118015494j),
+    (0.5, [-1.49, -0.29, 1.68], [-2.895 - 0.97j, 0.116 - 1.723j, 0.192 - 1.449j],
+     0.014527198788316159 + 0.00456022644987511j),
+    (0.065, [-0.23, 1.45, 1.86, 2.53],
+     [-0.772 + 0.203j, 0.22 + 0.854j, 2.365 - 1.256j, 0.264 + 0.862j],
+     -0.9827598736715866 + 0.8436698039319969j),
+    (1.0, [-0.07, 0.45, 1.2, 2.65],
+     [-0.029 - 1.936j, -0.996 - 1.867j, 1.432 - 0.878j, 1.57 - 1.362j],
+     -1.1605682920974847e-13 + 1.9725051589801372e-13j),
+    (0.5, [-1.0, 0.47, 1.16, 1.68, 2.69],
+     [-0.636 + 1.404j, 0.823 + 1.456j, 1.803 + 0.853j, 3.604 + 3.291j, 3.145 + 0.961j],
+     -0.011166662975874694 - 0.15168384932292156j),
+    (1.0, [0.62, 1.17, 1.58, 2.09, 3.03],
+     [1.417 - 1.821j, 1.01 - 1.973j, 0.28 - 1.772j, 1.319 - 2.04j, 3.147 - 1.496j],
+     -5.2823145046330305e-25 - 8.575156251625013e-25j),
+]
+
+
+class TestLiftWeight:
+    def test_matches_matrix_oracle(self):
+        # the matrix route's own rounding grows with the spread of the rows
+        # (it is off by 1e-8 on some unit-scale rows at N=5, a=1; see the
+        # mpmath table), so the rows are drawn at half the unit scale
+        rng = np.random.default_rng(80)
+        for n in (2, 3, 4, 5):
+            sup = np.sort(rng.uniform(-1.5, 1.5, n)) + 0.4 * np.arange(n)
+            for a in (1e-3, 0.065, 0.5, 1.0):
+                params = oc.LiftParams(a=a, nu_hat=drifts(*sup), t=1.0, h=0.0)
+                z = sup + 0.5 * (
+                    rng.standard_normal((512, n)) + 1j * rng.standard_normal((512, n))
+                )
+                got = oc._lift_weight(params, z)
+                want = matrix_weight(params, z)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_mpmath_table(self):
+        for a, sup, row, want in MPMATH_WEIGHTS:
+            params = oc.LiftParams(a=a, nu_hat=drifts(*sup), t=1.0, h=0.0)
+            got = oc._lift_weight(params, np.array([row]))[0]
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_combinatorial_limit_is_vandermonde_ratio(self):
+        rng = np.random.default_rng(81)
+        for n in (2, 3, 5):
+            nu_hat = drifts(*(np.arange(n) - 1.3 + 0.1 * rng.uniform(size=n)))
+            z = np.array(nu_hat.support()) + (
+                rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+            )
+            base = sim.cpr_weight(bm(), nu_hat, 1.0, z)
+            errs = []
+            for a in (1e-6, 1e-7):
+                params = oc.LiftParams(a=a, nu_hat=nu_hat, t=1.0, h=0.0)
+                errs.append(np.abs(oc._lift_weight(params, z) - base))
+            assert np.max(errs[1]) <= 1e-5 * np.max(np.abs(base))
+            # the deviation is linear in a, within 20 percent
+            ratio = errs[0] / np.maximum(errs[1], 1e-300)
+            assert np.all((ratio > 8.0) & (ratio < 12.0))
+
+    def test_shared_components_match_phi_lift(self):
+        nu_hat = drifts(-1.3, 0.4, 1.1, 2.45)
+        params = oc.LiftParams(a=0.3, nu_hat=nu_hat, t=1.0, h=0.0)
+        rng = np.random.default_rng(82)
+        z = rng.uniform(-2, 4, size=(30, 7)) + 1j * rng.uniform(0.1, 2, size=(30, 7))
+        got = oc._phi_lift_all(params, z)
+        assert got.shape == (4,) + z.shape
+        for k, u in enumerate(nu_hat.support()):
+            want = oc.phi_lift(nu_hat, u, 0.3, z)
+            assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_shared_components_reject_poles(self):
+        params = oc.LiftParams(a=0.5, nu_hat=drifts(0.0, 1.0), t=1.0, h=0.0)
+        with pytest.raises(DomainError):
+            oc._phi_lift_all(params, np.array([0.5 + 1j, -2.0 + 0j]))
+
+
+class TestEdgeCases:
+    def test_no_path_passes(self):
+        params = oc.LiftParams(a=0.1, nu_hat=drifts(-1.0, 1.0), t=1.0, h=50.0)
+        for route in (oc.oconnell_theta_cpr, oc.oconnell_theta_dmr):
+            est = route(params, 5000, seed=83)
+            assert est.mean == 0
+            assert est.n == 5000
+
+    def test_workers_do_not_change_estimates(self):
+        params = oc.LiftParams(a=0.1, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
+        n_paths = 2 * sim.BLOCK + 37
+        for route in (oc.oconnell_theta_cpr, oc.oconnell_theta_dmr):
+            one = route(params, n_paths, seed=84, workers=1)
+            two = route(params, n_paths, seed=84, workers=2)
+            assert one == two
+
+
 class TestCprEstimate:
     def test_unit_mass_without_indicator(self):
         params = oc.LiftParams(a=0.1, nu_hat=drifts(-1.0, 1.0), t=1.0, h=-1000.0)

@@ -214,6 +214,21 @@ class TestBessel:
             for z in zs:
                 assert abs(specfun.bessel_j(nu, z)) <= 1e-12
 
+    def test_zeros_match_reference_values(self):
+        # 30-digit values (mpmath besseljzero; (k - 1/2) pi for nu = -1/2)
+        ref = {
+            -0.5: (1.5707963267948966, 4.71238898038469, 20.420352248333657, 124.09290981679683),
+            0.0: (2.404825557695773, 5.520078110286311, 21.21163662987926, 124.87930891323295),
+            0.5: (3.141592653589793, 6.283185307179586, 21.991148575128552, 125.66370614359172),
+            1.0: (3.8317059702075125, 7.015586669815619, 22.760084380592772, 126.44613869851659),
+            2.5: (5.76345919689455, 9.095011330476355, 25.01280320228961, 128.78200361698467),
+            10.0: (14.475500686554541, 18.43346366696658, 35.499909205373854, 140.23046526883238),
+        }
+        for nu, want in ref.items():
+            zs = specfun.bessel_zeros(nu, 40).zeros
+            got = [zs[k - 1] for k in (1, 2, 7, 40)]
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_zero_count_bound(self):
         with pytest.raises(DomainError):
             specfun.bessel_zeros(0.5, 501)
