@@ -196,7 +196,7 @@ def cmd_kernel(config: dict) -> int:
         "variant": kernel.variant,
         "xi": kernel.xi.to_dict() if kernel.xi is not None else None,
         "truncation": {"query_points": len(rows)},
-        "tolerances": {"closed_form_quadrature": 1e-10},
+        "tolerances": {"closed_form_quadrature": ker.QUADRATURE_TOL},
     }
     _json_dump(sidecar, path + ".json")
     return EXIT_OK

@@ -39,6 +39,9 @@ __all__ = [
     "mgf_monte_carlo",
 ]
 
+# Gauss-Legendre nodes of the finite-rank shortcut's single slice
+_SHORTCUT_ORDER = 200
+
 
 @dataclass(frozen=True)
 class ContinuousChi:
@@ -207,9 +210,7 @@ def fredholm_series(
     return fine
 
 
-def finite_rank_det(
-    kern: ker.CorrelationKernel, spec: TestFunctionSpec, quad_order: int = 200
-) -> float:
+def finite_rank_det(kern: ker.CorrelationKernel, spec: TestFunctionSpec) -> float:
     """det(I_N + A) with A_jk the chi-weighted overlap of M^{u_j} with
     p(t, . | u_k); single time only."""
     if len(spec.times) != 1:
@@ -219,7 +220,7 @@ def finite_rank_det(
     if xi is None or not xi.simple():
         raise DomainError("the finite-rank shortcut needs a simple configuration")
     t = spec.times[0]
-    pts, wts, chiv = _slice_nodes(spec.chis[0], quad_order)
+    pts, wts, chiv = _slice_nodes(spec.chis[0], _SHORTCUT_ORDER)
     sup = xi.support()
     n = len(sup)
     mvals = np.column_stack(

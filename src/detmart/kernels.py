@@ -58,7 +58,14 @@ __all__ = [
     "lattice_kernel",
     "besselzero_kernel_half",
     "relaxation_probe",
+    "QUADRATURE_TOL",
 ]
+
+# absolute tolerance of the adaptive quadrature behind the sine and Bessel
+# kernels and the direct Bessel-zero sum; the image sums of the lattice
+# and Bessel-zero kernels integrate each image to _IMAGE_TOL
+QUADRATURE_TOL = 1e-10
+_IMAGE_TOL = 1e-11
 
 VARIANTS = (
     "general",
@@ -153,7 +160,7 @@ class SpaceTimeQuery:
 
 
 @lru_cache(maxsize=256)
-def _phi_coeff_matrix(process: ProcessKind, xi: cfg.PointConfiguration) -> np.ndarray:
+def _phi_coeff_matrix(xi: cfg.PointConfiguration) -> np.ndarray:
     """Columns: monomial coefficients of Phi_xi^{u_k}; shape (N, N)."""
     sup = xi.support()
     n = len(sup)
@@ -225,7 +232,7 @@ def kernel_eval_grid(
             [_twotime_coeff_matrix(proc, xi, float(s), float(xv)) for xv in xs]
         )
     else:
-        cmat = _phi_coeff_matrix(proc, xi)
+        cmat = _phi_coeff_matrix(xi)
     mvals = mart.poly_values(proc, cmat.shape[-2] - 1, t, ys) @ cmat
     out = (mvals @ pvals[:, :, None])[..., 0]
     if s > t:
@@ -318,7 +325,7 @@ def kernel_extended_laguerre(size: int, nu: float, s: float, x, t: float, y):
 # --------------------------------------------------------------------------
 
 
-def kernel_sine(t: float, x, tol: float = 1e-10):
+def kernel_sine(t: float, x):
     """Extended sine kernel K_sin(t, x); vectorized over x."""
     x = np.asarray(x, dtype=float)
     if t == 0.0:
@@ -330,12 +337,12 @@ def kernel_sine(t: float, x, tol: float = 1e-10):
         )
 
     if t > 0.0:
-        return quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+        return quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, QUADRATURE_TOL)
     hi = 1.0 + math.sqrt(100.0 / (math.pi**2 * abs(t) / 2.0))
-    return -quadrature.adaptive_gauss_legendre(f, 1.0, hi, tol)
+    return -quadrature.adaptive_gauss_legendre(f, 1.0, hi, QUADRATURE_TOL)
 
 
-def kernel_bessel(nu: float, t: float, y, x, tol: float = 1e-10):
+def kernel_bessel(nu: float, t: float, y, x):
     """Extended Bessel kernel K_J(t, y | x), nu > -1, x, y >= 0; broadcasts
     over x and y."""
     if nu <= -1.0:
@@ -365,9 +372,9 @@ def kernel_bessel(nu: float, t: float, y, x, tol: float = 1e-10):
         )
 
     if t > 0.0:
-        return 0.25 * quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+        return 0.25 * quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, QUADRATURE_TOL)
     hi = 1.0 + 100.0 / (abs(t) / 2.0)
-    return -0.25 * quadrature.adaptive_gauss_legendre(f, 1.0, hi, tol)
+    return -0.25 * quadrature.adaptive_gauss_legendre(f, 1.0, hi, QUADRATURE_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -410,14 +417,14 @@ def gue_density(size: int, t: float, x) -> float:
 # --------------------------------------------------------------------------
 
 
-def _lattice_image_term(j: int, sp: float, x: float, tp: float, y: float, tol: float):
+def _lattice_image_term(j: int, sp: float, x: float, tp: float, y: float):
     # (1/2pi) int_{-pi}^{pi} exp((tp l^2 - sp (l + 2 pi j)^2)/2)
     #                        cos(l (y - x) - 2 pi j x) dl
     def f(lam):
         expo = 0.5 * (tp * lam * lam - sp * (lam + 2.0 * math.pi * j) ** 2)
         return np.exp(expo) * np.cos(lam * (y - x) - 2.0 * math.pi * j * x)
 
-    return quadrature.adaptive_gauss_legendre(f, -math.pi, math.pi, tol) / (
+    return quadrature.adaptive_gauss_legendre(f, -math.pi, math.pi, _IMAGE_TOL) / (
         2.0 * math.pi
     )
 
@@ -430,8 +437,7 @@ def _auto_images(s: float, unit: float) -> int:
 
 
 def lattice_kernel(
-    s: float, x: float, t: float, y: float, images: int | None = None,
-    tol: float = 1e-11,
+    s: float, x: float, t: float, y: float, images: int | None = None
 ) -> float:
     """Kernel of the noncolliding motion started from the full lattice.
 
@@ -443,15 +449,14 @@ def lattice_kernel(
         images = _auto_images(s, 2.0 * math.pi)
     acc = 0.0
     for j in range(-images, images + 1):
-        acc += _lattice_image_term(j, s, x, t, y, tol)
+        acc += _lattice_image_term(j, s, x, t, y)
     if s > t:
         acc -= specfun.transition_density(bm(), s - t, x, y)
     return acc
 
 
 def besselzero_kernel_half(
-    s: float, x: float, t: float, y: float, images: int | None = None,
-    tol: float = 1e-11,
+    s: float, x: float, t: float, y: float, images: int | None = None
 ) -> float:
     """Kernel of the squared-Bessel-zero configuration at index 1/2.
 
@@ -476,7 +481,7 @@ def besselzero_kernel_half(
             expo = 0.5 * (t * mu * mu - s * shift * shift)
             return np.exp(expo) * np.sin(mu * sy) * np.sin(sx * shift)
 
-        acc += quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+        acc += quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _IMAGE_TOL)
     acc /= math.pi * sy
     if s > t:
         acc -= specfun.transition_density(besq(0.5), s - t, x, y)
@@ -491,7 +496,6 @@ def besselzero_kernel_direct(
     y: float,
     zero_count: int,
     table: specfun.BesselZeroTable | None = None,
-    tol: float = 1e-10,
 ) -> float:
     """Direct zero-by-zero sum for general nu.
 
@@ -499,7 +503,7 @@ def besselzero_kernel_direct(
     limits this route to small times; a conditioning guard raises once the
     attainable precision is worse than requested.
     """
-    if math.exp(t / 2.0) * 1e-15 > 0.1 * max(tol, 1e-12):
+    if math.exp(t / 2.0) * 1e-15 > 0.1 * QUADRATURE_TOL:
         raise NumericError(
             "direct Bessel-zero summation loses too much precision at this time; "
             "only the nu = 1/2 image form reaches large times"
@@ -513,7 +517,7 @@ def besselzero_kernel_direct(
         p = specfun.transition_density(proc, s, x, v)
         if p == 0.0:
             continue
-        acc += p * mart.besselzero_martingale(nu, k, t, y, table=table, tol=tol)
+        acc += p * mart.besselzero_martingale(nu, k, t, y, table=table)
     if s > t:
         acc -= specfun.transition_density(proc, s - t, x, y)
     return acc
@@ -526,9 +530,12 @@ def relaxation_probe(
     t: float,
     y: float,
     tau_ladder,
-    nu: float = 0.5,
 ):
     """Distances from the time-shifted kernel to its equilibrium limit.
+
+    The Bessel variant is the index-1/2 one, the only index whose image
+    form reaches large times (``besselzero_kernel_direct`` covers other
+    indices at small times).
 
     Returns (discrepancies, truncation_moves): one entry per tau, where
     ``truncation_moves`` records how much doubling the image count shifts
@@ -542,12 +549,7 @@ def relaxation_probe(
             return lattice_kernel(s + tau, x, t + tau, y, images=images)
 
     elif variant == "bessel":
-        if abs(nu - 0.5) > 1e-12:
-            raise DomainError(
-                "relaxation probe reaches large times for nu = 1/2 only; "
-                "use besselzero_kernel_direct for other indices at small times"
-            )
-        limit = (x / y) ** (nu / 2.0) * kernel_bessel(nu, t - s, y, x)
+        limit = (x / y) ** 0.25 * kernel_bessel(0.5, t - s, y, x)
         unit = 1.0
 
         def at(tau, images):

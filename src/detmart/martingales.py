@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import DomainError
 from .processes import ProcessKind
 
 __all__ = [
-    "MartingaleTransform",
     "poly_coeffs",
     "poly_martingale",
     "poly_values",
@@ -42,6 +40,11 @@ __all__ = [
 ]
 
 _MAX_DEGREE = 64
+
+# node count of the quadrature route of martingale_transform, and the
+# absolute tolerance of the lattice and Bessel-zero martingale integrals
+_TRANSFORM_ORDER = 64
+_QUAD_TOL = 1e-10
 
 
 def poly_coeffs(process: ProcessKind, n: int, t: float) -> np.ndarray:
@@ -119,15 +122,15 @@ def generating_function(process: ProcessKind, alpha: complex, t: float, x: float
 # --------------------------------------------------------------------------
 
 
-def _transform_quadrature(process, xi, u, t, y, order=64):
+def _transform_quadrature(process, xi, u, t, y):
     if process.tag == "BM":
-        nodes, weights = quadrature.gauss_hermite(order)
+        nodes, weights = quadrature.gauss_hermite(_TRANSFORM_ORDER)
         zpts = np.asarray(y, dtype=complex)[..., None] + 1j * math.sqrt(2.0 * t) * nodes
         vals = cfg.phi_simple(xi, u, zpts)
         return np.real(vals @ weights) / math.sqrt(math.pi)
     if process.tag == "BESQ":
         nu = process.nu
-        nodes, weights = quadrature.gauss_laguerre_general(nu, order)
+        nodes, weights = quadrature.gauss_laguerre_general(nu, _TRANSFORM_ORDER)
         y = np.asarray(y, dtype=float)
         ent = specfun.entire_bessel_series(
             nu, -(nodes[None, :] * np.atleast_1d(y)[:, None]) / (2.0 * t)
@@ -193,24 +196,6 @@ def martingale_transform_twotime(
     vals = poly_values(process, len(co) - 1, t, y)
     out = vals @ co
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class MartingaleTransform:
-    """Bound evaluator for M_xi^u of one process and configuration."""
-
-    process: ProcessKind
-    xi: cfg.PointConfiguration
-    u: float
-    route: str = "coefficient"
-
-    def evaluate(self, t: float, y):
-        return martingale_transform(self.process, self.xi, self.u, t, y, self.route)
-
-    def evaluate_twotime(self, s: float, x: float, t: float, y):
-        return martingale_transform_twotime(
-            self.process, self.xi, self.u, s, x, t, y
-        )
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +348,7 @@ def bes_transform_monomial(n: int, ell: int, t: float, x: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def lattice_martingale(k: int, t: float, x: float, tol: float = 1e-10) -> float:
+def lattice_martingale(k: int, t: float, x: float) -> float:
     """Integral-transform martingale of the full integer lattice at site k.
 
     (1/pi) int_0^pi exp(t L^2 / 2) cos(L (x - k)) dL.  At t = 0 this is
@@ -374,7 +359,7 @@ def lattice_martingale(k: int, t: float, x: float, tol: float = 1e-10) -> float:
     def f(lam):
         return np.exp(t * lam * lam / 2.0) * np.cos(lam * m)
 
-    val = quadrature.adaptive_gauss_legendre(f, 0.0, math.pi, tol)
+    val = quadrature.adaptive_gauss_legendre(f, 0.0, math.pi, _QUAD_TOL)
     return val / math.pi
 
 
@@ -384,7 +369,6 @@ def besselzero_martingale(
     t: float,
     x: float,
     table: specfun.BesselZeroTable | None = None,
-    tol: float = 1e-10,
 ) -> float:
     """Martingale of the squared-Bessel-zero configuration at the k-th zero.
 
@@ -414,5 +398,5 @@ def besselzero_martingale(
             * jv
         )
 
-    val = quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, tol)
+    val = quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _QUAD_TOL)
     return val / (jn1 * jn1)

@@ -69,7 +69,7 @@ class LiftParams:
 _POLE_TOL = 1e-8
 
 
-def pole_distance(nu_hat: cfg.PointConfiguration, u: float, a: float, x) -> np.ndarray:
+def pole_distance(u: float, a: float, x) -> np.ndarray:
     """Distance from x to the nearest pole u - n/a, n >= 1."""
     x = np.asarray(x, dtype=complex)
     w = a * (u - x)  # poles at w = 1, 2, 3, ...
@@ -77,9 +77,9 @@ def pole_distance(nu_hat: cfg.PointConfiguration, u: float, a: float, x) -> np.n
     return np.abs(w - nearest) / a
 
 
-def _check_poles(nu_hat: cfg.PointConfiguration, u: float, a: float, x) -> None:
+def _check_poles(u: float, a: float, x) -> None:
     """Raise if an argument lies within 1e-8 of a pole of Phi^{u,a}."""
-    dist = pole_distance(nu_hat, u, a, x)
+    dist = pole_distance(u, a, x)
     if (dist < _POLE_TOL).any():
         w = a * (u - x)
         idx = int(np.clip(np.round(np.atleast_1d(w.real)[np.argmin(dist)]), 1, None))
@@ -98,7 +98,7 @@ def phi_lift(nu_hat: cfg.PointConfiguration, u: float, a: float, x):
     if u not in sup:
         raise DomainError(f"{u} is not a drift component")
     x = np.asarray(x, dtype=complex)
-    _check_poles(nu_hat, u, a, x)
+    _check_poles(u, a, x)
     acc = specfun.log_gamma(1.0 - a * (u - x))
     for r in sup:
         if r == u:
@@ -119,7 +119,7 @@ def _phi_lift_all(params: LiftParams, z: np.ndarray) -> np.ndarray:
     sup = params.nu_hat.support()
     a = params.a
     for u in sup:
-        _check_poles(params.nu_hat, u, a, z)
+        _check_poles(u, a, z)
     shared = [specfun.log_gamma(a * (r - z)) for r in sup]
     out = np.empty((len(sup),) + z.shape, dtype=complex)
     for k, u in enumerate(sup):
@@ -195,9 +195,7 @@ def oconnell_theta_cpr(
         z = real + 1j * imag
         keep = np.ones(size, dtype=bool)
         for u in sup:
-            keep &= (
-                pole_distance(params.nu_hat, u, params.a, z) >= _POLE_TOL
-            ).all(axis=1)
+            keep &= (pole_distance(u, params.a, z) >= _POLE_TOL).all(axis=1)
         z = z[keep]
         on = (z.real >= threshold).all(axis=1)
         values = np.zeros(len(z), dtype=complex)
@@ -215,9 +213,9 @@ def oconnell_theta_cpr(
     return simulate.Estimate.from_samples(values)
 
 
-# the Gauss-Hermite order the stability doubling of the transform starts
-# from, and the Chebyshev node count of the transform table
-_QUAD_START = 128
+# the Gauss-Hermite order of the transform, checked against half as many
+# nodes at the probe points, and the Chebyshev node count of the table
+_QUAD_ORDER = 256
 _TABLE_NODES = 96
 
 
@@ -231,17 +229,6 @@ def _lift_transform(params: LiftParams, x: np.ndarray, order: int) -> np.ndarray
     return np.moveaxis(vals, 0, -1) / math.sqrt(math.pi)
 
 
-def _stable_order(params: LiftParams, probe: np.ndarray) -> int:
-    order = _QUAD_START
-    low = _lift_transform(params, probe, order)
-    while order <= 1024:
-        high = _lift_transform(params, probe, 2 * order)
-        if np.max(np.abs(low - high)) <= 1e-8:
-            return 2 * order
-        low, order = high, 2 * order
-    raise NumericError("quadrature transform did not stabilize by order 1024")
-
-
 class _TransformTable:
     """Chebyshev interpolant of x -> E_g[Phi^{u,a}(x + i g)] on [lo, hi],
     for all drift components u at once (coefficients of shape (nodes, N)).
@@ -251,20 +238,20 @@ class _TransformTable:
     check against direct quadrature guards the construction.
     """
 
-    def __init__(self, params, lo, hi, order):
+    def __init__(self, params, lo, hi):
         self.lo, self.hi = lo, hi
         k = np.arange(_TABLE_NODES)
         x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
             (2 * k + 1) * math.pi / (2 * _TABLE_NODES)
         )
-        vals = _lift_transform(params, x, order)
+        vals = _lift_transform(params, x, _QUAD_ORDER)
         scaled = (2.0 * x - (lo + hi)) / (hi - lo)
         coef = np.polynomial.chebyshev.chebfit(scaled, vals, _TABLE_NODES - 1)
         # real and imaginary parts interleaved, (nodes, 2N): one real
         # product with the Chebyshev-Vandermonde matrix evaluates them all
         self.coef = np.ascontiguousarray(coef).view(float)
         check = np.linspace(lo, hi, 7)[1:-1]
-        direct = _lift_transform(params, check, order)
+        direct = _lift_transform(params, check, _QUAD_ORDER)
         if np.max(np.abs(self(check) - direct)) > 1e-8:
             raise NumericError("transform interpolant failed its self check")
 
@@ -284,8 +271,10 @@ def oconnell_theta_dmr(
     """Real-path estimate through the quadrature transform of the lift.
 
     Requires the first pole of every lifted factor to sit at least three
-    Gaussian standard deviations below the drift components.  Only the
-    paths with the indicator on are weighted; the rest are 0.
+    Gaussian standard deviations below the drift components.  The
+    transform is a 256-node Gauss-Hermite rule; where it moves by more than
+    1e-8 from 128 nodes the run raises NumericError.  Only the paths with
+    the indicator on are weighted; the rest are 0.
     """
     clearance = _ridge_clearance(params)
     if clearance < 3.0:
@@ -299,13 +288,19 @@ def oconnell_theta_dmr(
     sigma = math.sqrt(tinv)
     threshold = params.h / params.t
     probe = np.concatenate([sup + d for d in (-3 * sigma, 0.0, 3 * sigma)])
-    order = _stable_order(params, probe)
+    low = _lift_transform(params, probe, _QUAD_ORDER // 2)
+    high = _lift_transform(params, probe, _QUAD_ORDER)
+    if not np.max(np.abs(low - high)) <= 1e-8:
+        raise NumericError(
+            f"the {_QUAD_ORDER}-node transform of the lift has not converged "
+            "at these parameters; use the cpr route"
+        )
     lo = float(sup.min() - 6.0 * sigma)
     hi = float(sup.max() + 6.0 * sigma)
     first_pole = float(sup.max() - 1.0 / params.a)
     table = None
     if lo - first_pole > 1.5 * sigma:
-        table = _TransformTable(params, lo, hi, order)
+        table = _TransformTable(params, lo, hi)
 
     def one_block(block, size):
         rng = simulate.stream(seed, block)
@@ -317,7 +312,7 @@ def oconnell_theta_dmr(
             if table is not None and rows.min() > lo and rows.max() < hi:
                 mat = table(rows)
             else:
-                mat = _lift_transform(params, rows, order)
+                mat = _lift_transform(params, rows, _QUAD_ORDER)
             values[on] = np.linalg.det(mat)
         return values
 

@@ -13,7 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
+
+# numpy's hermgauss overflows from 371 nodes on (zero or NaN weights and
+# RuntimeWarnings, numpy 2.4); refuse well before that
+_HERMITE_MAX = 360
+
+# the bisection depth at which adaptive_gauss_legendre gives up
+_MAX_DEPTH = 48
 
 
 def _frozen(*arrays):
@@ -30,7 +37,9 @@ def gauss_legendre(n: int):
 
 @lru_cache(maxsize=64)
 def gauss_hermite(n: int):
-    """Nodes/weights for integral of f(x) e^{-x^2} dx over R."""
+    """Nodes/weights for integral of f(x) e^{-x^2} dx over R; n <= 360."""
+    if n > _HERMITE_MAX:
+        raise DomainError(f"Gauss-Hermite rules stop at {_HERMITE_MAX} nodes")
     return _frozen(*np.polynomial.hermite.hermgauss(n))
 
 
@@ -57,7 +66,7 @@ def gauss_legendre_panel(f, a: float, b: float, n: int):
     return half * np.sum(w * f(mid + half * x), axis=-1)
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 48):
+def adaptive_gauss_legendre(f, a: float, b: float, tol: float):
     """Integrate a vectorized callable on [a, b] to absolute tolerance.
 
     ``f`` maps the nodes x to values of shape (..., len(x)); the result has
@@ -78,7 +87,7 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 
         budget = 0.25 * tol * (abs(hi - lo) / span) ** 0.6
         if np.all(err <= np.maximum(budget, 1e-16 * np.abs(coarse))):
             return left + right
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise NumericError("adaptive quadrature exceeded maximum depth")
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 

@@ -588,7 +588,6 @@ def reducibility_check(
     t: float,
     n_paths: int,
     seed: int,
-    T: float | None = None,
 ):
     """Both sides of the size-reduction identity, as Monte Carlo estimates.
 
@@ -603,8 +602,6 @@ def reducibility_check(
     if not 1 <= n_prime <= n <= 4:
         raise DomainError("supported sizes: 1 <= n_prime <= N <= 4")
     ts = _check_times(process, (t,))
-    horizon = float(ts[-1]) if T is None else float(T)
-    grid = ts if horizon == ts[-1] else ts + (horizon,)
     u = np.array(sup)
     cmat_full = np.column_stack([cfg.phi_coeffs(xi, v) for v in sup])
 
@@ -616,7 +613,7 @@ def reducibility_check(
             for sub in itertools.combinations(range(n), n_prime)
         )
 
-    lhs = dmr_expectation(process, xi, subset_sum, ts, n_paths, seed, T=horizon)
+    lhs = dmr_expectation(process, xi, subset_sum, ts, n_paths, seed)
 
     # right side: one ensemble per ordered support subset
     rhs_mean = rhs_var = 0.0
@@ -626,8 +623,8 @@ def reducibility_check(
         key = seed + 7919 * (si + 1)
 
         def one_block(block, size):
-            paths = _sample_free_block(process, v, grid, size, stream(key, block))
-            mvals = mart.poly_values(process, n - 1, horizon, paths[:, -1, :])
+            paths = _sample_free_block(process, v, ts, size, stream(key, block))
+            mvals = mart.poly_values(process, n - 1, ts[0], paths[:, -1, :])
             dets = np.linalg.det(mvals @ cmat)
             obs = np.asarray(
                 observable(np.sort(paths[:, :1, :], axis=2)), dtype=float

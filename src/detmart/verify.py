@@ -42,12 +42,12 @@ def _simple(*points):
 # --------------------------------------------------------------------------
 
 
-def _separated(rng, n, lo, hi, gap=0.05):
-    # random strictly ordered points with a floor on the spacing; closer
+def _separated(rng, n, lo, hi):
+    # random strictly ordered points at least 0.05 apart; closer
     # configurations belong to the multiple-point machinery
     while True:
         pts = np.sort(rng.uniform(lo, hi, size=n))
-        if n == 1 or np.diff(pts).min() >= gap:
+        if n == 1 or np.diff(pts).min() >= 0.05:
             return pts
 
 
@@ -474,7 +474,7 @@ def fredholm(seed: int = 5678) -> list:
 # --------------------------------------------------------------------------
 
 
-def relaxation(seed: int = 0) -> list:
+def relaxation() -> list:
     """Long-time convergence to the sine and Bessel kernels."""
     out = []
     ladder = [1.0, 4.0, 16.0, 64.0]
@@ -483,7 +483,7 @@ def relaxation(seed: int = 0) -> list:
     out.append(_check("sine probe strictly decreasing", 0.0 if mono else 1.0, 0.5))
     out.append(_check("sine probe final distance", disc[-1], 5e-2))
     out.append(_check("sine probe truncation stability", max(moves), 1e-8))
-    disc, moves = ker.relaxation_probe("bessel", 0.5, 1.3, 1.0, 2.2, ladder, nu=0.5)
+    disc, moves = ker.relaxation_probe("bessel", 0.5, 1.3, 1.0, 2.2, ladder)
     mono = all(b < a for a, b in zip(disc, disc[1:]))
     out.append(_check("bessel probe strictly decreasing", 0.0 if mono else 1.0, 0.5))
     out.append(_check("bessel probe final distance", disc[-1], 5e-2))

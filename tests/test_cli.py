@@ -364,6 +364,24 @@ class TestOconnellCommand:
         est = read_json(out)["estimate"]
         assert abs(est["mean"] - 1.0) <= 6 * est["std_error"]
 
+    def test_unconverged_dmr_exits_3(self, tmp_path, capsys):
+        out = str(tmp_path / "oc.json")
+        path = write_config(
+            tmp_path,
+            {
+                "schema": "detmart/1",
+                "command": "oconnell",
+                "route": "dmr",
+                "params": {"a": 1 / 6, "nu_hat": [-1.0, 1.0], "t": 1.0, "h": 0.0},
+                "mc": {"n_paths": 1000, "seed": 3},
+                "output": {"path": out},
+            },
+        )
+        assert run(["oconnell", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cpr" in err
+
 
 # one valid configuration per command; each bad-input case below breaks
 # exactly one field of one of them

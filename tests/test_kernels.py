@@ -34,7 +34,7 @@ class TestKernelEval:
     @pytest.mark.parametrize(
         "cached",
         [
-            lambda xi: ker._phi_coeff_matrix(bm(), xi),
+            lambda xi: ker._phi_coeff_matrix(xi),
             lambda xi: ker._twotime_coeff_matrix(bm(), xi, 1.0, 0.5),
             lambda xi: quadrature.gauss_legendre(8)[1],
             lambda xi: quadrature.gauss_hermite(8)[0],
@@ -368,9 +368,7 @@ class TestRelaxation:
         assert max(moves) < 1e-8
 
     def test_bessel_probe(self):
-        disc, moves = ker.relaxation_probe(
-            "bessel", 0.5, 1.3, 1.0, 2.2, [1, 4, 16, 64], nu=0.5
-        )
+        disc, moves = ker.relaxation_probe("bessel", 0.5, 1.3, 1.0, 2.2, [1, 4, 16, 64])
         assert all(d2 < d1 for d1, d2 in zip(disc, disc[1:]))
         assert disc[-1] <= 5e-2
         assert max(moves) < 1e-8

@@ -205,18 +205,6 @@ def laguerre_pair_sum(N, nu, s, x, t, y):
     return total
 
 
-class TestMartingaleTransformObject:
-    def test_bound_evaluator(self):
-        xi = simple(0.0, 2.0)
-        bound = mart.MartingaleTransform(process=bm(), xi=xi, u=0.0)
-        assert bound.evaluate(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert bound.evaluate(0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
-        direct = mart.martingale_transform(bm(), xi, 0.0, 0.7, 1.3)
-        assert bound.evaluate(0.7, 1.3) == pytest.approx(direct)
-        two = bound.evaluate_twotime(0.5, 0.2, 0.7, 1.3)
-        assert two == pytest.approx(direct, abs=1e-10)
-
-
 class TestTwoTimeTransform:
     def test_concentrated_bm_closed_form(self):
         N = 3

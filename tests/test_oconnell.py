@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from detmart import configurations as cfg
 from detmart import oconnell as oc
 from detmart import simulate as sim
-from detmart.errors import DomainError
+from detmart.errors import DomainError, NumericError
 from detmart.processes import bm
 
 
@@ -208,6 +209,25 @@ class TestDmrEstimate:
         params = oc.LiftParams(a=2.0, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
         with pytest.raises(DomainError):
             oc.oconnell_theta_dmr(params, 1000, seed=57)
+
+    def test_unconverged_transform_refused(self):
+        # clears the ridge guard, but 256 nodes are not enough, and no
+        # larger Gauss-Hermite rule is tried
+        params = oc.LiftParams(a=1 / 6, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="cpr"):
+                oc.oconnell_theta_dmr(params, 1000, seed=59)
+
+    def test_fixed_rule_estimate(self):
+        # the estimate the order search returned, at 256 nodes
+        params = oc.LiftParams(a=1 / 7, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
+        est = oc.oconnell_theta_dmr(params, 4000, seed=61)
+        assert repr(est) == (
+            "Estimate(mean=(0.037913133827217345+4.480535111766646e-18j), "
+            "std_error=0.002489274117159304, n=4000, "
+            "std_error_imag=3.3318834174855626e-19)"
+        )
 
 
 class TestReference:

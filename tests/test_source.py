@@ -1,6 +1,7 @@
 """Static scan of the package source, standing in for a linter: no unused
-import, no module-level ``_private`` function that nothing calls, and no
-function-local name that is assigned and never read.
+import, no module-level ``_private`` function that nothing calls, no
+function-local name that is assigned and never read, and no function
+parameter that is never read.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -80,5 +81,37 @@ def test_no_unread_local_names():
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for line, local in _unread_locals(fn)
+    ]
+    assert not dead, dead
+
+
+def _unread_parameters(fn):
+    """Parameters of ``fn`` that its body (nested scopes included) never
+    reads; ``self``, ``cls`` and ``_``-prefixed names are exempt."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    read = {
+        node.id
+        for stmt in fn.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        p.arg
+        for p in params
+        if p.arg not in ("self", "cls")
+        and not p.arg.startswith("_")
+        and p.arg not in read
+    ]
+
+
+def test_no_unread_parameters():
+    dead = [
+        f"{name}:{fn.lineno} {fn.name} never reads its parameter {param}"
+        for name, tree in TREES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for param in _unread_parameters(fn)
     ]
     assert not dead, dead

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,3 +361,18 @@ class TestAdaptiveQuadrature:
         val = quadrature.adaptive_gauss_legendre(np.cos, 0.0, 1.0, 1e-12)
         assert type(val) is float
         assert val == pytest.approx(math.sin(1.0), abs=1e-12)
+
+
+class TestGaussHermite:
+    def test_largest_rule_is_finite(self):
+        nodes, weights = quadrature.gauss_hermite(360)
+        assert np.isfinite(nodes).all()
+        assert (weights > 0).all()
+        assert abs(weights.sum() - math.sqrt(math.pi)) <= 1e-14
+
+    def test_larger_rule_refused_without_warning(self):
+        # numpy's rule overflows from 371 nodes on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                quadrature.gauss_hermite(361)
