@@ -29,7 +29,6 @@ from .kernels import (
     kernel_sine,
 )
 from .martingales import (
-    generating_function,
     martingale_transform,
     martingale_transform_twotime,
     poly_martingale,

@@ -127,8 +127,15 @@ def _horizon(config: dict):
     return None if horizon is None else _number(horizon, "horizon")
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _json_dump(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -161,11 +168,12 @@ def _build_kernel(kconf: dict) -> ker.CorrelationKernel:
         if variant == "general":
             return ker.general_kernel(proc, xi)
         return ker.multipoint_kernel(proc, xi)
-    if variant == "extended_hermite":
-        return ker.extended_hermite_kernel(_require(kconf, "size", int))
-    if variant == "extended_laguerre":
+    if variant in ("extended_hermite", "extended_laguerre"):
+        size = _number(_require(kconf, "size"), "kernel.size", positive_int=True)
+        if variant == "extended_hermite":
+            return ker.extended_hermite_kernel(size)
         return ker.extended_laguerre_kernel(
-            _require(kconf, "size", int), _number(_require(kconf, "nu"), "kernel.nu")
+            size, _number(_require(kconf, "nu"), "kernel.nu")
         )
     if variant == "sine":
         return ker.sine_kernel()
@@ -186,7 +194,7 @@ def cmd_kernel(config: dict) -> int:
         for i, x in enumerate(xvals):
             for t, block in zip(tvals, blocks):
                 rows.extend((s, x, t, y, v) for y, v in zip(yvals, block[i]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write("s,x,t,y,value\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -243,7 +251,7 @@ def cmd_simulate(config: dict) -> int:
     if config.get("companions", False):
         ens = sim.attach_companions(ens, seed2=seed + 1)
     path = _require(config, "output.path", str)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         _write_paths(fh, ens)
     summary = {
         "schema": SCHEMA,
@@ -380,7 +388,7 @@ def cmd_verify(suite: str, output: str | None) -> int:
     report = {"schema": SCHEMA, "suite": suite, "checks": checks}
     text = json.dumps(report, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _open_output(output) as fh:
             fh.write(text + "\n")
     else:
         print(text)

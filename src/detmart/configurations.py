@@ -15,7 +15,6 @@ ratio (Hermite polynomials for BM, shifted entire Bessel series for BESQ).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -67,14 +66,6 @@ class PointConfiguration:
 
     # -- operations ----------------------------------------------------
 
-    def shift(self, u: float) -> "PointConfiguration":
-        return PointConfiguration(tuple((loc + u, m) for loc, m in self.atoms))
-
-    def dilate(self, c: float) -> "PointConfiguration":
-        if c <= 0:
-            raise DomainError("dilate requires c > 0")
-        return PointConfiguration(tuple((c * loc, m) for loc, m in self.atoms))
-
     def square(self) -> "PointConfiguration":
         return PointConfiguration(tuple((loc * loc, m) for loc, m in self.atoms))
 
@@ -91,19 +82,14 @@ class PointConfiguration:
             raise DomainError(f"bad configuration payload: {exc}") from exc
         return cls(atoms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointConfiguration":
-        return cls.from_dict(json.loads(text))
-
 
 def _normalize_atoms(raw) -> tuple:
     items = sorted((float(loc), int(m)) for loc, m in raw)
-    for _, m in items:
+    for loc, m in items:
         if m < 1:
             raise DomainError("multiplicities must be >= 1")
+        if not math.isfinite(loc):
+            raise DomainError("locations must be finite")
     merged: list[list] = []
     for loc, m in items:
         if merged and loc - merged[-1][0] <= MERGE_TOL:

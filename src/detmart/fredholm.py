@@ -106,23 +106,11 @@ class TestFunctionSpec:
             raise DomainError("times must be strictly increasing")
 
     @classmethod
-    def collapsed(cls, times, chis) -> "TestFunctionSpec":
-        """Build a spec merging repeated times by (1+a)(1+b) - 1."""
-        pairs = sorted(zip((float(t) for t in times), chis), key=lambda p: p[0])
-        out_t: list[float] = []
-        out_c: list = []
-        for t, c in pairs:
-            if out_t and t == out_t[-1]:
-                out_c[-1] = _merge_chi(out_c[-1], c)
-            else:
-                out_t.append(t)
-                out_c.append(c)
-        return cls(tuple(out_t), tuple(out_c))
-
-    @classmethod
     def from_dict(cls, d: dict) -> "TestFunctionSpec":
         try:
             times = d["times"]
+            if not isinstance(times, list):
+                raise DomainError("test-function times must be a list")
             chis = []
             for item in d["chi"]:
                 if "sites" in item:
@@ -132,24 +120,9 @@ class TestFunctionSpec:
                     if item.get("kind", "indicator") != "indicator":
                         raise DomainError("only indicator chis parse from JSON")
                     chis.append(ContinuousChi.indicator(a, b, item["scale"]))
+            return cls(tuple(times), tuple(chis))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad test-function payload: {exc}") from exc
-        return cls(tuple(times), tuple(chis))
-
-
-def _merge_chi(a, b):
-    if isinstance(a, SiteChi) and isinstance(b, SiteChi):
-        sites = sorted(set(s for s, _ in a.sites) | set(s for s, _ in b.sites))
-        arr = np.array(sites)
-        vals = (1.0 + a(arr)) * (1.0 + b(arr)) - 1.0
-        return SiteChi(tuple(zip(sites, vals)))
-    if isinstance(a, ContinuousChi) and isinstance(b, ContinuousChi):
-        lo = min(a.support[0], b.support[0])
-        hi = max(a.support[1], b.support[1])
-        return ContinuousChi(
-            support=(lo, hi), fn=lambda y: (1.0 + a(y)) * (1.0 + b(y)) - 1.0
-        )
-    raise DomainError("cannot merge chi functions of different kinds")
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "kernel_eval",
     "kernel_eval_grid",
     "kernel_extended_hermite",
-    "hermite_gauge",
     "kernel_extended_laguerre",
     "laguerre_gauge",
     "kernel_sine",
@@ -62,8 +61,8 @@ __all__ = [
 ]
 
 # absolute tolerance of the adaptive quadrature behind the sine and Bessel
-# kernels and the direct Bessel-zero sum; the image sums of the lattice
-# and Bessel-zero kernels integrate each image to _IMAGE_TOL
+# kernels; the image sums of the lattice and Bessel-zero kernels integrate
+# each image to _IMAGE_TOL
 QUADRATURE_TOL = 1e-10
 _IMAGE_TOL = 1e-11
 
@@ -250,18 +249,29 @@ def _scalar_or_array(a):
     return float(a) if a.ndim == 0 else a
 
 
+def _require_rank(size: int, s: float, t: float, norm) -> None:
+    """DomainError unless s, t > 0 and ``norm(size - 1)``, the normalisation
+    constant of the largest term, is a finite float."""
+    if s <= 0 or t <= 0:
+        raise DomainError("extended kernels require s > 0 and t > 0")
+    try:
+        finite = size >= 1 and math.isfinite(norm(size - 1))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"rank {size} is out of range: it must be positive and the "
+            "normalisation of its last term a finite float"
+        )
+
+
+def _hermite_norm(n: int) -> float:
+    return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
+
+
 def _hermite_fn(n: int, x):
     # orthonormal oscillator function
-    return (
-        specfun.hermite(n, x)
-        * np.exp(-x * x / 2.0)
-        / math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
-    )
-
-
-def hermite_gauge(s: float, x: float, t: float, y: float) -> float:
-    """Factor linking the concentrated-start kernel to the Hermite kernel."""
-    return math.exp(-x * x / (4.0 * s) + y * y / (4.0 * t))
+    return specfun.hermite(n, x) * np.exp(-x * x / 2.0) / _hermite_norm(n)
 
 
 def kernel_extended_hermite(size: int, s: float, x, t: float, y):
@@ -271,6 +281,7 @@ def kernel_extended_hermite(size: int, s: float, x, t: float, y):
     conjugated by the oscillator gauge; with that convention the
     concentrated-start kernel equals gauge times this one identically.
     """
+    _require_rank(size, s, t, _hermite_norm)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, yt = x / math.sqrt(2.0 * s), y / math.sqrt(2.0 * t)
     ratio = math.sqrt(t / s)
@@ -284,9 +295,13 @@ def kernel_extended_hermite(size: int, s: float, x, t: float, y):
     return _scalar_or_array(acc)
 
 
+def _laguerre_norm(n: int, nu: float) -> float:
+    return math.sqrt(math.gamma(n + 1.0) / math.gamma(n + nu + 1.0))
+
+
 def _laguerre_fn(n: int, nu: float, x):
     return (
-        math.sqrt(math.gamma(n + 1.0) / math.gamma(n + nu + 1.0))
+        _laguerre_norm(n, nu)
         * x ** (nu / 2.0)
         * specfun.laguerre(n, nu, x)
         * np.exp(-x / 2.0)
@@ -306,6 +321,7 @@ def kernel_extended_laguerre(size: int, nu: float, s: float, x, t: float, y):
     Same gauge convention as the Hermite variant, with the Hardy-Hille sum
     supplying the s > t subtraction.
     """
+    _require_rank(size, s, t, lambda n: _laguerre_norm(n, nu))
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, yt = x / (2.0 * s), y / (2.0 * t)
     ratio = t / s
@@ -488,41 +504,6 @@ def besselzero_kernel_half(
     return acc
 
 
-def besselzero_kernel_direct(
-    nu: float,
-    s: float,
-    x: float,
-    t: float,
-    y: float,
-    zero_count: int,
-    table: specfun.BesselZeroTable | None = None,
-) -> float:
-    """Direct zero-by-zero sum for general nu.
-
-    Terms carry a factor e^{t/2} against an O(1) result, so cancellation
-    limits this route to small times; a conditioning guard raises once the
-    attainable precision is worse than requested.
-    """
-    if math.exp(t / 2.0) * 1e-15 > 0.1 * QUADRATURE_TOL:
-        raise NumericError(
-            "direct Bessel-zero summation loses too much precision at this time; "
-            "only the nu = 1/2 image form reaches large times"
-        )
-    if table is None:
-        table = specfun.bessel_zeros(nu, zero_count)
-    acc = 0.0
-    proc = besq(nu)
-    for k in range(1, zero_count + 1):
-        v = table.zeros[k - 1] ** 2
-        p = specfun.transition_density(proc, s, x, v)
-        if p == 0.0:
-            continue
-        acc += p * mart.besselzero_martingale(nu, k, t, y, table=table)
-    if s > t:
-        acc -= specfun.transition_density(proc, s - t, x, y)
-    return acc
-
-
 def relaxation_probe(
     variant: str,
     s: float,
@@ -534,8 +515,7 @@ def relaxation_probe(
     """Distances from the time-shifted kernel to its equilibrium limit.
 
     The Bessel variant is the index-1/2 one, the only index whose image
-    form reaches large times (``besselzero_kernel_direct`` covers other
-    indices at small times).
+    form reaches large times.
 
     Returns (discrepancies, truncation_moves): one entry per tau, where
     ``truncation_moves`` records how much doubling the image count shifts

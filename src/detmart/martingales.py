@@ -15,7 +15,6 @@ with multiple points through the residue polynomial of ``configurations``.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -29,22 +28,16 @@ __all__ = [
     "poly_coeffs",
     "poly_martingale",
     "poly_values",
-    "generating_function",
     "martingale_transform",
     "martingale_transform_twotime",
     "sample_ctime",
     "bes_q_factor",
-    "bes_transform_monomial",
-    "lattice_martingale",
-    "besselzero_martingale",
 ]
 
 _MAX_DEGREE = 64
 
-# node count of the quadrature route of martingale_transform, and the
-# absolute tolerance of the lattice and Bessel-zero martingale integrals
+# node count of the quadrature route of martingale_transform
 _TRANSFORM_ORDER = 64
-_QUAD_TOL = 1e-10
 
 
 def poly_coeffs(process: ProcessKind, n: int, t: float) -> np.ndarray:
@@ -99,22 +92,6 @@ def poly_values(process: ProcessKind, max_degree: int, t: float, x) -> np.ndarra
             x, poly_coeffs(process, n, t)
         )
     return out
-
-
-def generating_function(process: ProcessKind, alpha: complex, t: float, x: float):
-    """Closed-form martingale generating function G_alpha(t, x)."""
-    if process.tag == "BM":
-        return cmath.exp(alpha * x - t * alpha * alpha / 2.0)
-    if process.tag == "BESQ":
-        den = 1.0 + 2.0 * t * alpha
-        if abs(den) < 1e-14:
-            raise DomainError("generating function singular at 1 + 2 t alpha = 0")
-        return cmath.exp(alpha * x / den) / den ** (process.nu + 1.0)
-    if process.tag == "RW":
-        if t < 0 or t != int(t):
-            raise DomainError("RW generating function needs integer t >= 0")
-        return cmath.exp(alpha * x) / cmath.cosh(alpha) ** int(t)
-    raise DomainError(f"no generating function for {process}")
 
 
 # --------------------------------------------------------------------------
@@ -319,84 +296,3 @@ def bes_q_factor(n: int, t: float, z):
         )
     out = (t / 2.0) ** n * z / z.real ** (2 * n + 1) * acc
     return complex(out) if out.ndim == 0 else out
-
-
-def bes_transform_monomial(n: int, ell: int, t: float, x: float) -> float:
-    """Closed form of the Bessel(n + 1/2) transform of the monomial (iW)^{2 ell}.
-
-    Hermite-sum expression; equals the direct integral against the
-    sign-flipped Bessel kernel density.
-    """
-    if n < 0 or ell < 0:
-        raise DomainError("bes_transform_monomial requires n, ell >= 0")
-    if t <= 0 or x <= 0:
-        raise DomainError("bes_transform_monomial requires t > 0 and x > 0")
-    h = x / math.sqrt(2.0 * t)
-    acc = 0.0
-    for k in range(n + 1):
-        acc += (
-            math.factorial(2 * n - k)
-            / (math.factorial(n - k) * math.factorial(k))
-            * (2.0 * h) ** k
-            * specfun.hermite(2 * ell + k + 1, h)
-        )
-    return (t / 2.0) ** ell * h ** (-(2 * n + 1)) * acc / 2.0 ** (2 * n + 1)
-
-
-# --------------------------------------------------------------------------
-# Martingales of the two canonical infinite configurations
-# --------------------------------------------------------------------------
-
-
-def lattice_martingale(k: int, t: float, x: float) -> float:
-    """Integral-transform martingale of the full integer lattice at site k.
-
-    (1/pi) int_0^pi exp(t L^2 / 2) cos(L (x - k)) dL.  At t = 0 this is
-    sin(pi (x - k)) / (pi (x - k)).
-    """
-    m = x - k
-
-    def f(lam):
-        return np.exp(t * lam * lam / 2.0) * np.cos(lam * m)
-
-    val = quadrature.adaptive_gauss_legendre(f, 0.0, math.pi, _QUAD_TOL)
-    return val / math.pi
-
-
-def besselzero_martingale(
-    nu: float,
-    k: int,
-    t: float,
-    x: float,
-    table: specfun.BesselZeroTable | None = None,
-) -> float:
-    """Martingale of the squared-Bessel-zero configuration at the k-th zero.
-
-    (j^2/x)^{nu/2} / J_{nu+1}(j)^2 int_0^1 e^{L t / 2}
-    J_nu(sqrt(L x)) J_nu(sqrt(L) j) dL with j = j_{nu,k}; the x^{nu/2}
-    singularity is folded into an entire series so x = 0 is allowed.
-    """
-    if table is None:
-        table = specfun.bessel_zeros(nu, k)
-    if len(table.zeros) < k or table.nu != nu:
-        raise DomainError("zero table does not cover the requested index")
-    j = table.zeros[k - 1]
-    jn1 = specfun.bessel_j(nu + 1.0, j)
-
-    # substitute L = mu^2; (j^2/x)^{nu/2} J_nu(mu sqrt(x)) =
-    # j^nu (mu/2)^nu e_nu(-mu^2 x / 4)
-    def f(mu):
-        ent = specfun.entire_bessel_series(nu, -(mu * mu) * x / 4.0)
-        jv = specfun.bessel_j(nu, mu * j)
-        return (
-            2.0
-            * mu
-            * np.exp(mu * mu * t / 2.0)
-            * j**nu
-            * (mu / 2.0) ** nu
-            * ent
-            * jv
-        )
-
-    val = quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _QUAD_TOL)
-    return val / (jn1 * jn1)

@@ -44,6 +44,8 @@ class LiftParams:
     h: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.t, self.h)):
+            raise DomainError("lift parameters a, t and h must be finite")
         if self.a <= 0:
             raise DomainError("lift scale a must be positive")
         if self.t <= 0:

@@ -8,6 +8,7 @@ RW      simple symmetric random walk on Z, discrete time
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -26,8 +27,8 @@ class ProcessKind:
         if self.tag not in _TAGS:
             raise DomainError(f"unknown process tag {self.tag!r}")
         if self.tag in ("BESQ", "BES"):
-            if self.nu is None or self.nu <= -1.0:
-                raise DomainError(f"{self.tag} requires an index nu > -1")
+            if self.nu is None or not (math.isfinite(self.nu) and self.nu > -1.0):
+                raise DomainError(f"{self.tag} requires a finite index nu > -1")
         elif self.nu is not None:
             raise DomainError(f"{self.tag} takes no index")
 
@@ -61,5 +62,9 @@ def process_from_dict(d: dict) -> ProcessKind:
     if kind in ("BESQ", "BES"):
         if "nu" not in d:
             raise DomainError(f"process {kind} needs field 'nu'")
-        return ProcessKind(kind, float(d["nu"]))
+        try:
+            nu = float(d["nu"])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"process {kind} index 'nu': {exc}") from exc
+        return ProcessKind(kind, nu)
     raise DomainError(f"unknown process kind {kind!r}")

@@ -1,8 +1,9 @@
 """Self-contained special functions and elementary transition densities.
 
-Gamma (real and complex), Hermite and Laguerre polynomials, Bessel J and I,
-Bessel zeros, the softened step function, power series of ``sech^t``, and
-the one-step transition densities of the four supported processes.
+Complex log-gamma, Hermite and Laguerre polynomials, Bessel J and its
+zeros, the entire Bessel series behind J and the BESQ density, power series
+of ``sech^t``, and the one-step transition densities of the four supported
+processes.
 
 Orthogonal polynomials are evaluated by three-term recurrence, never by the
 literal factorial sums (those cancel already for moderate degree; the sums
@@ -14,7 +15,6 @@ because it diverges for orders up to 20 at desk-scale arguments.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -25,19 +25,15 @@ from .processes import ProcessKind
 __all__ = [
     "PowerSeriesCoeffs",
     "BesselZeroTable",
-    "gamma",
     "log_gamma",
     "hermite",
     "laguerre",
     "bessel_j",
-    "bessel_i",
     "bessel_j_derivative",
     "bessel_zeros",
     "entire_bessel_series",
-    "theta_soften",
     "cosh_neg_power_series",
     "transition_density",
-    "rw_transition",
 ]
 
 
@@ -136,29 +132,6 @@ def log_gamma(z):
         ls = np.where(upper, ls, np.conj(ls))
         out[left] = math.log(math.pi) - ls - _log_gamma_right(1.0 - zl)
     return out[0] if scalar else out
-
-
-def gamma(x):
-    """Gamma function for real or complex argument.
-
-    Real nonpositive integers are poles and raise :class:`DomainError`.
-    """
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        xf = float(x)
-        if xf <= 0.0 and xf == math.floor(xf):
-            raise DomainError(f"gamma pole at {int(xf)}")
-        return math.gamma(xf)
-    z = complex(x)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise DomainError(f"gamma pole at {int(z.real)}")
-    if z.real >= 0.5:
-        zz = z - 1.0
-        acc = _LANCZOS_C[0]
-        for i, c in enumerate(_LANCZOS_C[1:], start=1):
-            acc += c / (zz + i)
-        t = zz + _LANCZOS_G + 0.5
-        return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
-    return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
 
 
 # --------------------------------------------------------------------------
@@ -294,31 +267,6 @@ def bessel_j(nu: float, x):
     return float(out[0]) if scalar else out
 
 
-def bessel_i(nu: float, x):
-    """Modified Bessel function of the first kind, nu > -1, x >= 0.
-
-    All series terms are positive, so the expansion is accurate for every
-    argument this package meets; only the term budget limits the range.
-    """
-    if nu <= -1.0:
-        raise DomainError("bessel_i requires nu > -1")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if (arr < 0.0).any():
-        raise DomainError("bessel_i requires x >= 0")
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if pos.any():
-        xp = arr[pos]
-        out[pos] = np.exp(nu * np.log(xp / 2.0)) * entire_bessel_series(
-            nu, (xp * xp) / 4.0
-        )
-    if (~pos).any() and nu == 0.0:
-        out[~pos] = 1.0
-    return float(out[0]) if scalar else out
-
-
 def bessel_j_derivative(nu: float, x):
     """d/dx J_nu(x) via J_nu' = (nu/x) J_nu - J_{nu+1}; vectorized, x > 0."""
     arr = np.asarray(x, dtype=float)
@@ -380,17 +328,8 @@ def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
 
 
 # --------------------------------------------------------------------------
-# Softened indicator and sech powers
+# sech powers
 # --------------------------------------------------------------------------
-
-
-def theta_soften(a: float, x):
-    """exp(-exp(-x/a)): smooth 0-to-1 step with width a > 0."""
-    if a <= 0.0:
-        raise DomainError("theta_soften requires a > 0")
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-np.exp(-x / a))
-    return float(out) if out.ndim == 0 else out
 
 
 def _series_log1p(coeffs: np.ndarray) -> np.ndarray:
@@ -483,28 +422,6 @@ def besq_density(nu: float, t: float, y, x):
         body = np.where(ysafe > 0, body, np.inf)
     out = np.where(neg, 0.0, body)
     return float(out) if out.ndim == 0 else out
-
-
-def rw_transition(t: int, y: int, x: int) -> float:
-    """P(V(t) = y | V(0) = x) for the simple symmetric walk.
-
-    Binomial coefficients are taken in log space so t up to 1000 is safe.
-    """
-    if t < 0 or t != int(t):
-        raise DomainError("RW time must be a nonnegative integer")
-    t = int(t)
-    d = y - x
-    if t == 0:
-        return 1.0 if d == 0 else 0.0
-    if abs(d) > t or (t + d) % 2 != 0:
-        return 0.0
-    k = (t + d) // 2
-    return math.exp(
-        math.lgamma(t + 1.0)
-        - math.lgamma(k + 1.0)
-        - math.lgamma(t - k + 1.0)
-        - t * math.log(2.0)
-    )
 
 
 def transition_density(process: ProcessKind, t, y, x):

@@ -434,8 +434,23 @@ BAD_INPUTS = [
     ("kernel", "grid.x", ["a"]),
     ("estimate", "horizon", "x"),
     ("estimate", "xi.atoms", [["a", 1]]),
+    ("estimate", "xi.atoms", [["nan", 1], [2.0, 1]]),
+    ("oconnell", "params.nu_hat", ["nan", 1.0]),
     # one DMR path has no standard error: refused before numpy divides by 0
     ("estimate", "mc.n_paths", 1),
+    ("simulate", "process", {"kind": "BESQ", "nu": "a"}),
+    # a NaN index passed the nu > -1 check and the estimate wrote NaN
+    ("estimate", "process", {"kind": "BESQ", "nu": "nan"}),
+    ("fredholm", "spec.times", ["a"]),
+    # a string is not read as the list of its characters
+    ("fredholm", "spec.times", "5"),
+    ("oconnell", "params.a", "nan"),
+    ("oconnell", "params.h", "nan"),
+    ("kernel", "kernel", {"variant": "extended_hermite", "size": True}),
+    ("kernel", "kernel", {"variant": "extended_laguerre", "size": -3, "nu": 0.5}),
+    # the normalisation of the last Hermite term overflows from rank 152
+    ("kernel", "kernel", {"variant": "extended_hermite", "size": 152}),
+    ("kernel", "kernel", {"variant": "extended_laguerre", "size": 172, "nu": 0.5}),
 ]
 
 
@@ -455,7 +470,35 @@ class TestExitCodes:
         config.update(schema="detmart/1", command=command)
         config["output"] = {"path": str(tmp_path / "out")}
         assert run([command, write_config(tmp_path, config)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", ["extended_hermite", "extended_laguerre"])
+    @pytest.mark.parametrize("axis", ["s", "t"])
+    def test_extended_kernel_at_time_zero_exits_2(self, tmp_path, capsys, variant, axis):
+        config = json.loads(json.dumps(VALID["kernel"]))
+        config.update(schema="detmart/1", command="kernel")
+        config["kernel"] = {"variant": variant, "size": 3, "nu": 0.5}
+        config["grid"][axis] = [0.0]
+        config["output"] = {"path": str(tmp_path / "out")}
+        assert run(["kernel", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_output_in_missing_directory_exits_2(self, tmp_path, capsys, command):
+        config = json.loads(json.dumps(VALID[command]))
+        config.update(schema="detmart/1", command=command)
+        config["output"] = {"path": str(tmp_path / "missing" / "out")}
+        assert run([command, write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+    def test_verify_output_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.json")
+        assert run(["verify", "identities", "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     def test_bes_cpr_at_horizon_zero_exits_2(self, tmp_path, capsys):
         # the BES(n + 1/2) weight divides by the horizon

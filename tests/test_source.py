@@ -1,7 +1,8 @@
 """Static scan of the package source, standing in for a linter: no unused
 import, no module-level ``_private`` function that nothing calls, no
-function-local name that is assigned and never read, and no function
-parameter that is never read.
+public module-level function or class that nothing outside the tests
+reaches, no function-local name that is assigned and never read, and no
+function parameter that is never read.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -9,7 +10,9 @@ parameter that is never read.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "detmart"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "detmart"
+BENCH = ROOT / "bench"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -56,6 +59,69 @@ def test_no_uncalled_private_functions():
         and not node.name.startswith("__")
         and node.name not in used
     ]
+    assert not dead, dead
+
+
+# module aliases of numpy and the standard library: ``math.gamma`` is not a
+# read of ``specfun.gamma``
+_FOREIGN = {"math", "np", "cmath"}
+
+
+def _package_module(node):
+    """The ``detmart`` module an ``ImportFrom`` names, or None."""
+    if node.level == 1 and node.module:
+        return node.module
+    if node.level == 0 and (node.module or "").startswith("detmart."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _reads(stmt):
+    """(bare names, attribute names, (module, name) imports) read in ``stmt``."""
+    bare, attrs, imports = set(), set(), set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id in _FOREIGN
+        ):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and _package_module(node):
+            imports.update((_package_module(node), a.name) for a in node.names)
+    return bare, attrs, imports
+
+
+def _unreferenced_public(src, bench):
+    """Public module-level functions and classes of the package in ``src``
+    that neither ``__init__`` imports nor anything in ``src`` or ``bench``
+    reads outside the definition itself.  A bare name counts in its own
+    module, ``<alias>.name`` and ``from .module import name`` anywhere."""
+    paths = sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = [(path, stmt, _reads(stmt)) for path, tree in trees.items() for stmt in tree.body]
+
+    def referenced(path, node):
+        return any(
+            node.name in attrs
+            or (path.stem, node.name) in imports
+            or (other == path and node.name in bare)
+            for other, stmt, (bare, attrs, imports) in reads
+            if stmt is not node
+        )
+
+    return [
+        f"{path.name}:{node.lineno} defines {node.name}"
+        for path, tree in trees.items()
+        if path.parent == src
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not referenced(path, node)
+    ]
+
+
+def test_no_unreferenced_public_definitions():
+    dead = _unreferenced_public(SRC, BENCH)
     assert not dead, dead
 
 
