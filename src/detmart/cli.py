@@ -14,6 +14,7 @@ resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -400,7 +401,9 @@ def cmd_verify(suite: str, output: str | None) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="detmart",
         description="Determinantal-martingale toolkit: kernels, Monte Carlo "

@@ -100,6 +100,8 @@ class TestFunctionSpec:
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "chis", tuple(self.chis))
+        if not ts:
+            raise DomainError("times must not be empty")
         if len(ts) != len(self.chis):
             raise DomainError("need exactly one chi per time")
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):

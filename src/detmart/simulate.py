@@ -35,7 +35,10 @@ the class-C matrix [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
 B complex symmetric Brownian (Katori-Tanemura 2004).  Observables receive
 positions sorted within each time slice (the unlabeled configuration) as
 an array of shape (paths, times, particles) and must return one value
-per path.
+per path.  ``_sort_particles`` does that sort: up to MAX_PARTICLES (8)
+particles, odd-even transposition over the particle columns with
+np.minimum / np.maximum, which returns the same array as np.sort; above
+that (only ``cpr_expectation`` and ``brute_force_rw`` take more) np.sort.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ _CHUNK_CELLS = 1 << 13
 _MAX_CELLS = 1 << 18
 _MASK64 = (1 << 64) - 1
 _COMPANION_KEY = 0x9E3779B97F4A7C15
+# the real-representation estimators take at most this many particles, and
+# up to this many the particle axis is sorted by a compare-exchange network
+MAX_PARTICLES = 8
 
 
 def stream(seed: int, block: int) -> np.random.Generator:
@@ -143,6 +149,8 @@ class PathEnsemble:
 
 def _check_times(process: ProcessKind, times) -> tuple:
     ts = tuple(float(t) for t in times)
+    if not ts:
+        raise DomainError("times must not be empty")
     if not all(math.isfinite(t) for t in ts):
         raise DomainError("times must be finite")
     if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
@@ -154,16 +162,47 @@ def _check_times(process: ProcessKind, times) -> tuple:
     return ts
 
 
+def _check_starts(process: ProcessKind, u, representation: bool) -> np.ndarray:
+    """Starting points as floats: BESQ and BES from >= 0, the walk from
+    integers; the walk representations also need one parity, or walkers
+    swap without meeting and the determinant identity fails."""
+    u = np.asarray(u, dtype=float)
+    if process.tag in ("BESQ", "BES") and (u < 0).any():
+        raise DomainError(f"{process.tag} starts must be nonnegative")
+    if process.tag == "RW":
+        if any(not float(v).is_integer() for v in u):
+            raise DomainError("walk starts must be integers")
+        if representation and len({int(v) % 2 for v in u}) > 1:
+            raise DomainError("walk starts must all have the same parity")
+    return u
+
+
+def _sort_particles(paths: np.ndarray) -> np.ndarray:
+    """A sorted copy of (paths, times, N) along the particle axis.
+
+    Up to MAX_PARTICLES columns it is N rounds of odd-even transposition,
+    a compare-exchange of column slices by np.minimum / np.maximum, faster
+    than np.sort for so few columns; above that np.sort.
+    """
+    n = paths.shape[-1]
+    if n > MAX_PARTICLES:
+        return np.sort(paths, axis=-1)
+    cols = [paths[..., j] for j in range(n)]
+    for r in range(n):
+        for j in range(r % 2, n - 1, 2):
+            cols[j], cols[j + 1] = (
+                np.minimum(cols[j], cols[j + 1]),
+                np.maximum(cols[j], cols[j + 1]),
+            )
+    return np.stack(cols, axis=-1)
+
+
 def sample_free(
     process: ProcessKind, u, times, n_paths: int, seed: int
 ) -> PathEnsemble:
     """Independent free paths from u_j, exact transition sampling."""
     ts = _check_times(process, times)
-    u = np.asarray(u, dtype=float)
-    if process.tag in ("BESQ", "BES") and (u < 0).any():
-        raise DomainError(f"{process.tag} starts must be nonnegative")
-    if process.tag == "RW" and any(not float(v).is_integer() for v in u):
-        raise DomainError("walk starts must be integers")
+    u = _check_starts(process, u, representation=False)
 
     def one_block(block, size):
         return _sample_free_block(process, u, ts, size, stream(seed, block))
@@ -319,22 +358,23 @@ def dmr_expectation(
     """
     if not xi.simple():
         raise DomainError("representation estimators need a simple configuration")
-    if xi.total() > 8:
-        raise DomainError("representation estimators support at most 8 particles")
+    if xi.total() > MAX_PARTICLES:
+        raise DomainError(
+            f"representation estimators support at most {MAX_PARTICLES} particles"
+        )
     ts = _check_times(process, times)
     horizon = float(ts[-1]) if T is None else float(T)
     if horizon < ts[-1]:
         raise DomainError("horizon must not precede the last observation time")
     grid = ts if horizon == ts[-1] else ts + (horizon,)
-    u = np.array(xi.support())
+    u = _check_starts(process, xi.support(), representation=True)
 
     def one_block(block, size):
         rng = stream(seed, block)
         paths = _sample_free_block(process, u, grid, size, rng)
         weights = det_weight(process, xi, horizon, paths[:, -1, :])
-        obs = np.asarray(
-            observable(np.sort(paths[:, : len(ts), :], axis=2)), dtype=float
-        )
+        sorted_paths = _sort_particles(paths[:, : len(ts), :])
+        obs = np.asarray(observable(sorted_paths), dtype=float)
         return obs * weights
 
     values = _run_blocks(n_paths, workers, one_block)
@@ -362,7 +402,7 @@ def cpr_expectation(
     if horizon < ts[-1]:
         raise DomainError("horizon must not precede the last observation time")
     grid = ts if horizon == ts[-1] else ts + (horizon,)
-    u = np.array(xi.support())
+    u = _check_starts(process, xi.support(), representation=True)
 
     def one_block(block, size):
         rng = stream(seed, block)
@@ -372,9 +412,8 @@ def cpr_expectation(
         )
         z_end = paths[:, -1, :] + 1j * comp[:, -1, :]
         weights = cpr_weight(process, xi, horizon, z_end)
-        obs = np.asarray(
-            observable(np.sort(paths[:, : len(ts), :], axis=2)), dtype=float
-        )
+        sorted_paths = _sort_particles(paths[:, : len(ts), :])
+        obs = np.asarray(observable(sorted_paths), dtype=float)
         return obs * weights
 
     values = _run_blocks(n_paths, workers, one_block)
@@ -545,7 +584,7 @@ def brute_force_rw(
     """
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
-    u = np.array(xi.support())
+    u = _check_starts(rw(), xi.support(), representation=True)
     n = len(u)
     ts = [int(t) for t in _check_times(rw(), times)]
     horizon = int(ts[-1]) if T is None else int(T)
@@ -566,7 +605,7 @@ def brute_force_rw(
         steps = steps.reshape(len(idx), n, horizon)
         pos = u[None, :, None] + np.cumsum(steps, axis=2)  # (chunk, n, T)
         at_obs = np.stack([pos[:, :, t - 1] for t in ts], axis=1)  # (chunk, M, n)
-        fvals = np.asarray(observable(np.sort(at_obs, axis=2)), dtype=float)
+        fvals = np.asarray(observable(_sort_particles(at_obs)), dtype=float)
         end = pos[:, :, horizon - 1].astype(float)
         weights = det_weight(rw(), xi, horizon, end)
         free_acc += float(fvals @ weights)
@@ -626,9 +665,7 @@ def reducibility_check(
             paths = _sample_free_block(process, v, ts, size, stream(key, block))
             mvals = mart.poly_values(process, n - 1, ts[0], paths[:, -1, :])
             dets = np.linalg.det(mvals @ cmat)
-            obs = np.asarray(
-                observable(np.sort(paths[:, :1, :], axis=2)), dtype=float
-            )
+            obs = np.asarray(observable(_sort_particles(paths[:, :1, :])), dtype=float)
             return obs * dets
 
         est = Estimate.from_samples(_run_blocks(n_paths, 1, one_block))

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DomainError, NumericError
@@ -368,11 +370,13 @@ def _series_exp(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
 def cosh_neg_power_series(t: float, order: int) -> PowerSeriesCoeffs:
     """Coefficients of (cosh a)^(-t) in a, through a^order.
 
     Computed as exp(-t log cosh a); O(order^2) work independent of t, so
-    non-integer t is free.
+    non-integer t is free.  Cached: the result is a frozen tuple and a
+    function of (t, order) alone.
     """
     if order < 0 or order > 64:
         raise DomainError("cosh_neg_power_series supports 0 <= order <= 64")

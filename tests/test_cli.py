@@ -431,6 +431,9 @@ BAD_INPUTS = [
     ("simulate", "times", [math.inf]),
     ("simulate", "times", [math.nan]),
     ("estimate", "times", [math.nan]),
+    # no observation time: refused, not an IndexError or a header-only CSV
+    ("estimate", "times", []),
+    ("simulate", "times", []),
     ("kernel", "grid.x", ["a"]),
     ("estimate", "horizon", "x"),
     ("estimate", "xi.atoms", [["a", 1]]),
@@ -444,6 +447,7 @@ BAD_INPUTS = [
     ("fredholm", "spec.times", ["a"]),
     # a string is not read as the list of its characters
     ("fredholm", "spec.times", "5"),
+    ("fredholm", "spec", {"times": [], "chi": []}),
     ("oconnell", "params.a", "nan"),
     ("oconnell", "params.h", "nan"),
     ("kernel", "kernel", {"variant": "extended_hermite", "size": True}),
@@ -499,6 +503,40 @@ class TestExitCodes:
         assert run(["verify", "identities", "--output", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "estimator, process, atoms, times",
+        [
+            ("dmr", {"kind": "BESQ", "nu": 0.5}, [[-1.0, 1], [2.0, 1]], [1.0]),
+            ("cpr", {"kind": "BES", "nu": 1.5}, [[-1.0, 1], [2.0, 1]], [1.0]),
+            ("dmr", {"kind": "RW"}, [[0.5, 1], [2.0, 1]], [2]),
+            ("cpr", {"kind": "RW"}, [[0.5, 1], [2.0, 1]], [2]),
+            ("dmr", {"kind": "RW"}, [[0.0, 1], [1.0, 1]], [2]),
+            ("cpr", {"kind": "RW"}, [[0.0, 1], [1.0, 1]], [2]),
+        ],
+        ids=[
+            "dmr-besq-negative",
+            "cpr-bes-negative",
+            "dmr-rw-fractional",
+            "cpr-rw-fractional",
+            "dmr-rw-mixed-parity",
+            "cpr-rw-mixed-parity",
+        ],
+    )
+    def test_bad_start_exits_2(self, tmp_path, capsys, estimator, process, atoms, times):
+        config = json.loads(json.dumps(VALID["estimate"]))
+        config.update(
+            schema="detmart/1",
+            command="estimate",
+            estimator=estimator,
+            process=process,
+            xi={"atoms": atoms},
+            times=times,
+            output={"path": str(tmp_path / "out")},
+        )
+        assert run(["estimate", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bes_cpr_at_horizon_zero_exits_2(self, tmp_path, capsys):
         # the BES(n + 1/2) weight divides by the horizon

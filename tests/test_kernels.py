@@ -110,12 +110,13 @@ class TestKernelEval:
             lambda xi: quadrature.gauss_legendre(8)[1],
             lambda xi: quadrature.gauss_hermite(8)[0],
             lambda xi: quadrature.gauss_laguerre_general(0.5, 8)[1],
+            lambda xi: specfun.cosh_neg_power_series(3, 4).coeffs,
         ],
     )
     def test_cached_arrays_are_read_only(self, cached):
         # lru_cache hands the same array to every caller
         arr = cached(cfg.PointConfiguration.from_points([0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError if isinstance(arr, tuple) else ValueError):
             arr[0] = 1.0
 
     def test_rw_parity_zero(self):

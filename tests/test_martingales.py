@@ -47,6 +47,12 @@ class TestPolynomialMartingales:
         assert checks[check]["status"] == "fail"
         assert checks[1 - check]["status"] == "pass"
 
+    def test_verify_suite_repeats_bit_for_bit(self):
+        # its walk checks read the cached sech-power series on the second run
+        from detmart import verify
+
+        assert verify.martingales() == verify.martingales()
+
     def test_rw_m2(self):
         for t in (0, 1, 3, 7):
             for x in (-4, 0, 2, 5):

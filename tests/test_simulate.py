@@ -325,6 +325,64 @@ class TestBruteForce:
             sim.brute_force_rw(xi, ones, [9], T=9)
 
 
+class TestStartChecks:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sim.dmr_expectation(besq(0.5), simple(-1.0, 2.0), ones, [1.0], 100, 1),
+            lambda: sim.cpr_expectation(bes(1.5), simple(-1.0, 2.0), ones, [1.0], 100, 1),
+            lambda: sim.dmr_expectation(rw(), simple(0.5, 2.0), ones, [2], 100, 1),
+            lambda: sim.cpr_expectation(rw(), simple(0.5, 2.0), ones, [2], 100, 1),
+            # walkers of mixed parity swap places without meeting
+            lambda: sim.dmr_expectation(rw(), simple(0.0, 1.0), ones, [2], 100, 1),
+            lambda: sim.cpr_expectation(rw(), simple(0.0, 1.0), ones, [2], 100, 1),
+            lambda: sim.brute_force_rw(simple(0.5, 2.0), ones, [2]),
+            lambda: sim.brute_force_rw(simple(0.0, 1.0), ones, [2]),
+            lambda: sim.sample_free(besq(0.5), [-1.0, 2.0], [1.0], 100, 1),
+            lambda: sim.sample_free(rw(), [0.5, 2.0], [2], 100, 1),
+            lambda: sim.sample_free(bm(), [0.0, 1.0], [], 100, 1),
+            lambda: sim.dmr_expectation(bm(), simple(0.0, 1.0), ones, [], 100, 1),
+        ],
+        ids=[
+            "dmr-besq-negative",
+            "cpr-bes-negative",
+            "dmr-rw-fractional",
+            "cpr-rw-fractional",
+            "dmr-rw-mixed-parity",
+            "cpr-rw-mixed-parity",
+            "enumeration-fractional",
+            "enumeration-mixed-parity",
+            "free-besq-negative",
+            "free-rw-fractional",
+            "free-no-times",
+            "dmr-no-times",
+        ],
+    )
+    def test_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_free_walk_of_mixed_parity_allowed(self):
+        # free paths need no parity; only the representations do
+        ens = sim.sample_free(rw(), [0.0, 1.0], [2], 100, seed=1)
+        assert ens.paths.shape == (100, 1, 2)
+
+
+class TestSortParticles:
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_np_sort(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        real = rng.standard_normal((257, m, n))
+        # walk positions: few integer values, so most rows carry ties
+        walk = rng.integers(-3, 4, size=(257, m, n)).astype(float)
+        tied = np.repeat(real[..., :1], n, axis=2)
+        for paths in (real, walk, tied, real[:, :, ::-1]):
+            got = sim._sort_particles(paths)
+            assert got.shape == paths.shape
+            assert got.tobytes() == np.sort(paths, axis=2).tobytes()
+
+
 class TestDmrAgainstEnumeration:
     def test_occupancy_probability(self):
         xi = simple(0.0, 2.0)
@@ -365,6 +423,12 @@ class TestCpr:
         a = sim.cpr_expectation(rw(), xi, F, [2], 30_000, seed=18)
         b = sim.dmr_expectation(rw(), xi, F, [2], 30_000, seed=19)
         assert abs(a.mean.real - b.mean) <= 4 * a.combined_se(b)
+
+    def test_rw_dmr_repeats_bit_for_bit(self):
+        # the walk weights read a cached series; a second run must not move
+        xi = simple(-2.0, 0.0, 2.0, 4.0)
+        runs = [sim.dmr_expectation(rw(), xi, ones, [2, 4], 5000, seed=21) for _ in "ab"]
+        assert runs[0] == runs[1]
 
     def test_rw_same_for_any_worker_count(self):
         # the C(t) sampler draws a data-dependent number of variates per block

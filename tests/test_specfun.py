@@ -317,6 +317,21 @@ class TestCoshNegSeries:
         exact = math.cosh(a) ** (-t)
         assert approx == pytest.approx(exact, abs=1e-13)
 
+    def test_cached_value_independent_of_call_history(self):
+        cases = [(t, n) for t in (1, 3, 7, 39) for n in (0, 1, 5, 17, 64)]
+
+        def bits(t, n):
+            return np.array(specfun.cosh_neg_power_series(t, n).coeffs).tobytes()
+
+        specfun.cosh_neg_power_series.cache_clear()
+        cold = [bits(t, n) for t, n in cases]
+        assert [bits(t, n) for t, n in cases] == cold
+        specfun.cosh_neg_power_series.cache_clear()
+        full = {t: specfun.cosh_neg_power_series(t, 64).coeffs for t, _ in cases}
+        assert [bits(t, n) for t, n in cases] == cold
+        # the low coefficients do not depend on the order the series is built to
+        assert [np.array(full[t][: n + 1]).tobytes() for t, n in cases] == cold
+
 
 class TestTransitionDensity:
     def test_rw_single_step(self):
