@@ -85,6 +85,8 @@ class PointConfiguration:
 
 def _normalize_atoms(raw) -> tuple:
     items = sorted((float(loc), int(m)) for loc, m in raw)
+    if not items:
+        raise DomainError("a configuration needs at least one point")
     for loc, m in items:
         if m < 1:
             raise DomainError("multiplicities must be >= 1")
@@ -253,8 +255,8 @@ def lattice_config(window: int) -> PointConfiguration:
 
 def besselzero_config(nu: float, count: int) -> PointConfiguration:
     """Squares of the first ``count`` positive zeros of J_nu."""
-    table = specfun.bessel_zeros(nu, count)
-    return PointConfiguration.from_points(z * z for z in table.zeros)
+    zeros = specfun.bessel_zeros(nu, count)
+    return PointConfiguration.from_points(z * z for z in zeros)
 
 
 # --------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def poly_coeffs(process: ProcessKind, n: int, t: float) -> np.ndarray:
     if process.tag == "RW":
         if t != int(t):
             raise DomainError("RW polynomial martingales need integer t")
-        sech_pow = specfun.cosh_neg_power_series(int(t), n).coeffs
+        sech_pow = specfun.cosh_neg_power_series(int(t), n)
         nfact = math.factorial(n)
         for k in range(n + 1):
             out[k] = nfact * sech_pow[n - k] / math.factorial(k)

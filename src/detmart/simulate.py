@@ -341,6 +341,31 @@ def _run_blocks(n_paths, workers, block_fn):
     return np.concatenate(results)
 
 
+def _representation_estimate(
+    process, xi, observable, times, n_paths, seed, T, workers, weight_fn
+) -> Estimate:
+    """Mean of F(sorted free paths) * weight over blocks of free paths from
+    the support of xi; ``weight_fn(block, paths, grid)`` weighs the paths
+    observed at ``grid``, whose last entry is the horizon."""
+    if not xi.simple():
+        raise DomainError("representation estimators need a simple configuration")
+    ts = _check_times(process, times)
+    horizon = float(ts[-1]) if T is None else float(T)
+    if horizon < ts[-1]:
+        raise DomainError("horizon must not precede the last observation time")
+    grid = ts if horizon == ts[-1] else ts + (horizon,)
+    u = _check_starts(process, xi.support(), representation=True)
+
+    def one_block(block, size):
+        paths = _sample_free_block(process, u, grid, size, stream(seed, block))
+        weights = weight_fn(block, paths, grid)
+        sorted_paths = _sort_particles(paths[:, : len(ts), :])
+        obs = np.asarray(observable(sorted_paths), dtype=float)
+        return obs * weights
+
+    return Estimate.from_samples(_run_blocks(n_paths, workers, one_block))
+
+
 def dmr_expectation(
     process: ProcessKind,
     xi: cfg.PointConfiguration,
@@ -356,29 +381,17 @@ def dmr_expectation(
     ``observable`` maps sorted positions (paths, len(times), N) to one
     value per path; the default horizon is the last observation time.
     """
-    if not xi.simple():
-        raise DomainError("representation estimators need a simple configuration")
     if xi.total() > MAX_PARTICLES:
         raise DomainError(
             f"representation estimators support at most {MAX_PARTICLES} particles"
         )
-    ts = _check_times(process, times)
-    horizon = float(ts[-1]) if T is None else float(T)
-    if horizon < ts[-1]:
-        raise DomainError("horizon must not precede the last observation time")
-    grid = ts if horizon == ts[-1] else ts + (horizon,)
-    u = _check_starts(process, xi.support(), representation=True)
 
-    def one_block(block, size):
-        rng = stream(seed, block)
-        paths = _sample_free_block(process, u, grid, size, rng)
-        weights = det_weight(process, xi, horizon, paths[:, -1, :])
-        sorted_paths = _sort_particles(paths[:, : len(ts), :])
-        obs = np.asarray(observable(sorted_paths), dtype=float)
-        return obs * weights
+    def weight(_block, paths, grid):
+        return det_weight(process, xi, grid[-1], paths[:, -1, :])
 
-    values = _run_blocks(n_paths, workers, one_block)
-    return Estimate.from_samples(values)
+    return _representation_estimate(
+        process, xi, observable, times, n_paths, seed, T, workers, weight
+    )
 
 
 def cpr_expectation(
@@ -395,29 +408,17 @@ def cpr_expectation(
     the imaginary part a diagnostic that must vanish within noise."""
     if process.tag not in ("BM", "RW", "BES"):
         raise DomainError(f"no complex representation for {process}")
-    if not xi.simple():
-        raise DomainError("representation estimators need a simple configuration")
-    ts = _check_times(process, times)
-    horizon = float(ts[-1]) if T is None else float(T)
-    if horizon < ts[-1]:
-        raise DomainError("horizon must not precede the last observation time")
-    grid = ts if horizon == ts[-1] else ts + (horizon,)
-    u = _check_starts(process, xi.support(), representation=True)
 
-    def one_block(block, size):
-        rng = stream(seed, block)
-        paths = _sample_free_block(process, u, grid, size, rng)
-        comp = _companion_block(
-            process, grid, size, len(u), stream(seed ^ _COMPANION_KEY, block)
-        )
+    def weight(block, paths, grid):
+        size, _, n_particles = paths.shape
+        rng = stream(seed ^ _COMPANION_KEY, block)
+        comp = _companion_block(process, grid, size, n_particles, rng)
         z_end = paths[:, -1, :] + 1j * comp[:, -1, :]
-        weights = cpr_weight(process, xi, horizon, z_end)
-        sorted_paths = _sort_particles(paths[:, : len(ts), :])
-        obs = np.asarray(observable(sorted_paths), dtype=float)
-        return obs * weights
+        return cpr_weight(process, xi, grid[-1], z_end)
 
-    values = _run_blocks(n_paths, workers, one_block)
-    return Estimate.from_samples(values)
+    return _representation_estimate(
+        process, xi, observable, times, n_paths, seed, T, workers, weight
+    )
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,14 @@ literal factorial sums (those cancel already for moderate degree; the sums
 survive only as test oracles).  Bessel J uses the entire series for small
 argument and Miller's backward recurrence with the Watson normalization sum
 for large argument; the large-argument Hankel expansion is useless here
-because it diverges for orders up to 20 at desk-scale arguments.
+because it diverges for orders up to 20 at desk-scale arguments.  The
+coefficients of sech^t come from J. C. P. Miller's recurrence for a power
+of a power series, one O(order^2) loop for any real t >= 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +26,6 @@ from .errors import DomainError, NumericError
 from .processes import ProcessKind
 
 __all__ = [
-    "PowerSeriesCoeffs",
-    "BesselZeroTable",
     "log_gamma",
     "hermite",
     "laguerre",
@@ -37,32 +36,6 @@ __all__ = [
     "cosh_neg_power_series",
     "transition_density",
 ]
-
-
-@dataclass(frozen=True)
-class PowerSeriesCoeffs:
-    """Truncated power series: coeffs[k] multiplies the k-th power."""
-
-    coeffs: tuple
-    order: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise DomainError("coeffs length must equal order + 1")
-
-
-@dataclass(frozen=True)
-class BesselZeroTable:
-    """First positive zeros of J_nu, ascending."""
-
-    nu: float
-    zeros: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        zs = tuple(float(z) for z in self.zeros)
-        object.__setattr__(self, "zeros", zs)
-        if any(z2 <= z1 for z1, z2 in zip(zs, zs[1:])):
-            raise DomainError("zeros must be strictly increasing")
 
 
 # --------------------------------------------------------------------------
@@ -278,8 +251,8 @@ def bessel_j_derivative(nu: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
-    """First ``count`` positive zeros of J_nu, Newton-refined.
+def bessel_zeros(nu: float, count: int) -> tuple:
+    """The first ``count`` positive zeros of J_nu, ascending, Newton-refined.
 
     One sign scan of J_nu over a grid of step pi/2 brackets every zero at
     once: the grid starts at max(nu, 1e-2), below the first zero, and
@@ -326,7 +299,7 @@ def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
         z[todo] = np.where(out, 0.5 * (lo[todo] + hi[todo]), znew)
     else:
         raise NumericError(f"zero {todo[0] + 1} of J_{nu} did not converge")
-    return BesselZeroTable(nu=nu, zeros=tuple(z))
+    return tuple(z.tolist())
 
 
 # --------------------------------------------------------------------------
@@ -334,64 +307,28 @@ def bessel_zeros(nu: float, count: int) -> BesselZeroTable:
 # --------------------------------------------------------------------------
 
 
-def _series_log1p(coeffs: np.ndarray) -> np.ndarray:
-    """log(1 + s(a)) for a power series s with zero constant term."""
-    n = len(coeffs) - 1
-    out = np.zeros(n + 1)
-    power = np.zeros(n + 1)
-    power[0] = 1.0  # s^0
-    sign = 1.0
-    for k in range(1, n + 1):
-        power = _series_mul(power, coeffs, n)
-        out += sign * power / k
-        sign = -sign
-    return out
-
-
-def _series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0 or i > order:
-            continue
-        out[i : order + 1] += ai * b[: order + 1 - i]
-    return out
-
-
-def _series_exp(coeffs: np.ndarray) -> np.ndarray:
-    """exp of a power series with zero constant term."""
-    n = len(coeffs) - 1
-    out = np.zeros(n + 1)
-    out[0] = 1.0
-    term = np.zeros(n + 1)
-    term[0] = 1.0
-    for k in range(1, n + 1):
-        term = _series_mul(term, coeffs, n) / k
-        out += term
-    return out
-
-
 @lru_cache(maxsize=256)
-def cosh_neg_power_series(t: float, order: int) -> PowerSeriesCoeffs:
-    """Coefficients of (cosh a)^(-t) in a, through a^order.
+def cosh_neg_power_series(t: float, order: int) -> tuple:
+    """Coefficients q_0 .. q_order of (cosh a)^(-t) in a, as a tuple.
 
-    Computed as exp(-t log cosh a); O(order^2) work independent of t, so
-    non-integer t is free.  Cached: the result is a frozen tuple and a
-    function of (t, order) alone.
+    J. C. P. Miller's recurrence for a power of a power series (Knuth,
+    TAOCP vol. 2, 4.7): with c_k = 1/k! the even coefficients of cosh,
+    q_0 = 1 and q_n = (1/n) sum_{even k=2..n} ((1 - t) k - n) c_k q_{n-k}.
+    O(order^2) work for any real t >= 0, and q_n does not depend on
+    ``order``.  Cached: the result is a frozen tuple and a function of
+    (t, order) alone.
     """
     if order < 0 or order > 64:
         raise DomainError("cosh_neg_power_series supports 0 <= order <= 64")
     if t < 0:
         raise DomainError("cosh_neg_power_series requires t >= 0")
-    if order == 0 or t == 0:
-        return PowerSeriesCoeffs(coeffs=tuple([1.0] + [0.0] * order), order=order)
-    cosh_minus_one = np.zeros(order + 1)
-    fact = 1.0
-    for k in range(2, order + 1, 2):
-        fact *= (k - 1) * k
-        cosh_minus_one[k] = 1.0 / fact
-    log_cosh = _series_log1p(cosh_minus_one)
-    out = _series_exp(-t * log_cosh)
-    return PowerSeriesCoeffs(coeffs=tuple(out.tolist()), order=order)
+    q = [1.0] + [0.0] * order
+    for n in range(2, order + 1, 2):
+        q[n] = sum(
+            ((1.0 - t) * k - n) * q[n - k] / math.factorial(k)
+            for k in range(2, n + 1, 2)
+        ) / n
+    return tuple(q)
 
 
 # --------------------------------------------------------------------------

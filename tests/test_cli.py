@@ -455,6 +455,13 @@ BAD_INPUTS = [
     # the normalisation of the last Hermite term overflows from rank 152
     ("kernel", "kernel", {"variant": "extended_hermite", "size": 152}),
     ("kernel", "kernel", {"variant": "extended_laguerre", "size": 172, "nu": 0.5}),
+    # an empty configuration: refused, not a traceback, a header-only CSV
+    # or a mean of 1
+    ("estimate", "xi.atoms", []),
+    ("simulate", "xi.atoms", []),
+    ("fredholm", "xi.atoms", []),
+    ("kernel", "kernel", {"variant": "rw", "xi": {"atoms": []}}),
+    ("oconnell", "params.nu_hat", []),
 ]
 
 

@@ -59,6 +59,12 @@ class TestPointConfiguration:
         with pytest.raises(DomainError):
             cfg.PointConfiguration(((0.0, 0),))
 
+    def test_empty(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            cfg.PointConfiguration(())
+        with pytest.raises(DomainError, match="at least one point"):
+            cfg.PointConfiguration.from_dict({"atoms": []})
+
     def test_nonfinite_location(self):
         for loc in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):

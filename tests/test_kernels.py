@@ -40,14 +40,14 @@ def lattice_martingale(k, t, x):
     return val / math.pi
 
 
-def besselzero_martingale(nu, k, t, x, table):
+def besselzero_martingale(nu, k, t, x, zeros):
     """Martingale of the squared-Bessel-zero configuration at the k-th zero.
 
     (j^2/x)^{nu/2} / J_{nu+1}(j)^2 int_0^1 e^{L t / 2}
     J_nu(sqrt(L x)) J_nu(sqrt(L) j) dL with j = j_{nu,k}; the x^{nu/2}
     singularity is folded into an entire series so x = 0 is allowed.
     """
-    j = table.zeros[k - 1]
+    j = zeros[k - 1]
     jn1 = specfun.bessel_j(nu + 1.0, j)
 
     # substitute L = mu^2; (j^2/x)^{nu/2} J_nu(mu sqrt(x)) =
@@ -69,9 +69,9 @@ def besselzero_martingale(nu, k, t, x, table):
     return val / (jn1 * jn1)
 
 
-def besselzero_kernel_direct(nu, s, x, t, y, table):
+def besselzero_kernel_direct(nu, s, x, t, y, zeros):
     """Direct zero-by-zero sum of the squared-Bessel-zero kernel, one term
-    per zero of ``table``.
+    per entry of ``zeros``.
 
     Terms carry a factor e^{t/2} against an O(1) result, so cancellation
     limits this route to small times.
@@ -79,11 +79,11 @@ def besselzero_kernel_direct(nu, s, x, t, y, table):
     assert math.exp(t / 2.0) * 1e-15 <= 0.1 * ker.QUADRATURE_TOL
     acc = 0.0
     proc = besq(nu)
-    for k, zero in enumerate(table.zeros, start=1):
+    for k, zero in enumerate(zeros, start=1):
         p = specfun.transition_density(proc, s, x, zero**2)
         if p == 0.0:
             continue
-        acc += p * besselzero_martingale(nu, k, t, y, table)
+        acc += p * besselzero_martingale(nu, k, t, y, zeros)
     if s > t:
         acc -= specfun.transition_density(proc, s - t, x, y)
     return acc
@@ -110,7 +110,7 @@ class TestKernelEval:
             lambda xi: quadrature.gauss_legendre(8)[1],
             lambda xi: quadrature.gauss_hermite(8)[0],
             lambda xi: quadrature.gauss_laguerre_general(0.5, 8)[1],
-            lambda xi: specfun.cosh_neg_power_series(3, 4).coeffs,
+            lambda xi: specfun.cosh_neg_power_series(3, 4),
         ],
     )
     def test_cached_arrays_are_read_only(self, cached):
@@ -465,11 +465,11 @@ class TestInfiniteConfigurationMartingales:
 
     def test_besselzero_kronecker(self):
         nu = 0.5
-        table = specfun.bessel_zeros(nu, 3)
+        zeros = specfun.bessel_zeros(nu, 3)
         for j in range(1, 4):
             for k in range(1, 4):
-                xj = table.zeros[j - 1] ** 2
-                val = besselzero_martingale(nu, k, 0.0, xj, table)
+                xj = zeros[j - 1] ** 2
+                val = besselzero_martingale(nu, k, 0.0, xj, zeros)
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-9)
 
 
@@ -503,9 +503,9 @@ class TestRelaxation:
             assert abs(a - b) <= 1e-10
 
     def test_besselzero_kernel_matches_direct_sum_small_time(self):
-        table = specfun.bessel_zeros(0.5, 40)
+        zeros = specfun.bessel_zeros(0.5, 40)
         for (s, x, t, y) in [(0.5, 1.3, 1.0, 2.2), (1.1, 0.8, 0.4, 1.9)]:
-            a = besselzero_kernel_direct(0.5, s, x, t, y, table)
+            a = besselzero_kernel_direct(0.5, s, x, t, y, zeros)
             b = ker.besselzero_kernel_half(s, x, t, y)
             assert abs(a - b) <= 1e-9
 

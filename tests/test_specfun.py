@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,15 +262,14 @@ class TestBessel:
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_zeros_half_are_pi_multiples(self):
-        table = specfun.bessel_zeros(0.5, 6)
-        for k, z in enumerate(table.zeros, start=1):
+        for k, z in enumerate(specfun.bessel_zeros(0.5, 6), start=1):
             assert z == pytest.approx(k * math.pi, abs=1e-11)
 
     def test_zeros_invariants(self):
         for nu in (0.0, 0.5, 1.7, 6.0):
-            table = specfun.bessel_zeros(nu, 12)
-            zs = np.array(table.zeros)
-            assert (np.diff(zs) > 0).all()
+            zs = specfun.bessel_zeros(nu, 12)
+            assert isinstance(zs, tuple) and len(zs) == 12
+            assert all(z2 > z1 for z1, z2 in zip(zs, zs[1:]))
             for z in zs:
                 assert abs(specfun.bessel_j(nu, z)) <= 1e-12
 
@@ -284,7 +284,7 @@ class TestBessel:
             10.0: (14.475500686554541, 18.43346366696658, 35.499909205373854, 140.23046526883238),
         }
         for nu, want in ref.items():
-            zs = specfun.bessel_zeros(nu, 40).zeros
+            zs = specfun.bessel_zeros(nu, 40)
             got = [zs[k - 1] for k in (1, 2, 7, 40)]
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -293,41 +293,76 @@ class TestBessel:
             specfun.bessel_zeros(0.5, 501)
 
 
+def sech_powers_exact(count, order):
+    """Exact coefficients of (cosh a)^(-t) for t = 0 .. count - 1 as lists of
+    Fractions: the 1/cosh series by long division, raised to each integer
+    power by repeated multiplication."""
+    cosh = [
+        Fraction(1, math.factorial(k)) if k % 2 == 0 else 0 for k in range(order + 1)
+    ]
+    sech = []
+    for n in range(order + 1):
+        sech.append((n == 0) - sum(cosh[k] * sech[n - k] for k in range(1, n + 1)))
+    power = [Fraction(1)] + [Fraction(0)] * order
+    out = []
+    for _ in range(count):
+        out.append(power)
+        power = [
+            sum(power[j] * sech[n - j] for j in range(n + 1) if power[j] and sech[n - j])
+            for n in range(order + 1)
+        ]
+    return out
+
+
 class TestCoshNegSeries:
     def test_t_zero(self):
         ps = specfun.cosh_neg_power_series(0, 6)
-        assert ps.coeffs[0] == 1.0
-        assert all(c == 0.0 for c in ps.coeffs[1:])
+        assert ps[0] == 1.0
+        assert all(c == 0.0 for c in ps[1:])
 
     def test_t_one(self):
         ps = specfun.cosh_neg_power_series(1, 2)
-        assert ps.coeffs[0] == pytest.approx(1.0, abs=1e-15)
-        assert ps.coeffs[1] == pytest.approx(0.0, abs=1e-15)
-        assert ps.coeffs[2] == pytest.approx(-0.5, abs=1e-14)
+        assert ps[0] == pytest.approx(1.0, abs=1e-15)
+        assert ps[1] == pytest.approx(0.0, abs=1e-15)
+        assert ps[2] == pytest.approx(-0.5, abs=1e-14)
 
     def test_t_two_is_square(self):
         ps = specfun.cosh_neg_power_series(2, 2)
-        assert ps.coeffs[2] == pytest.approx(-1.0, abs=1e-14)
+        assert ps[2] == pytest.approx(-1.0, abs=1e-14)
 
     def test_against_direct_evaluation(self):
-        # compare the truncated series with sech(a)^t at small a
-        t, order, a = 5, 16, 0.15
-        ps = specfun.cosh_neg_power_series(t, order)
-        approx = sum(c * a**k for k, c in enumerate(ps.coeffs))
-        exact = math.cosh(a) ** (-t)
-        assert approx == pytest.approx(exact, abs=1e-13)
+        # compare the truncated series with sech(a)^t at small a; t need
+        # not be an integer
+        order, a = 16, 0.15
+        for t in (5, 2.5, 0.3):
+            ps = specfun.cosh_neg_power_series(t, order)
+            approx = sum(c * a**k for k, c in enumerate(ps))
+            exact = math.cosh(a) ** (-t)
+            assert approx == pytest.approx(exact, abs=1e-13)
+
+    def test_matches_exact_rationals(self):
+        order, worst = 64, 0.0
+        for t, want in enumerate(sech_powers_exact(40, order)):
+            got = specfun.cosh_neg_power_series(t, order)
+            assert len(got) == order + 1
+            for n in range(order + 1):
+                if want[n] == 0:
+                    assert got[n] == 0.0
+                else:
+                    worst = max(worst, abs(got[n] / float(want[n]) - 1.0))
+        assert worst <= 1e-14
 
     def test_cached_value_independent_of_call_history(self):
         cases = [(t, n) for t in (1, 3, 7, 39) for n in (0, 1, 5, 17, 64)]
 
         def bits(t, n):
-            return np.array(specfun.cosh_neg_power_series(t, n).coeffs).tobytes()
+            return np.array(specfun.cosh_neg_power_series(t, n)).tobytes()
 
         specfun.cosh_neg_power_series.cache_clear()
         cold = [bits(t, n) for t, n in cases]
         assert [bits(t, n) for t, n in cases] == cold
         specfun.cosh_neg_power_series.cache_clear()
-        full = {t: specfun.cosh_neg_power_series(t, 64).coeffs for t, _ in cases}
+        full = {t: specfun.cosh_neg_power_series(t, 64) for t, _ in cases}
         assert [bits(t, n) for t, n in cases] == cold
         # the low coefficients do not depend on the order the series is built to
         assert [np.array(full[t][: n + 1]).tobytes() for t, n in cases] == cold
