@@ -43,13 +43,9 @@ class ConfigError(DomainError):
     pass
 
 
-# paths per formatted write of the simulate CSV: larger chunks write no
-# faster and hold more argument objects and text in memory at once
-_CSV_CHUNK = 256
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+# paths per formatted write of the simulate CSV: 512 writes slower, 2048
+# only a few percent faster for more text in memory at once
+_CSV_CHUNK = 1024
 
 
 def _require(config: dict, field: str, kind=None):
@@ -141,6 +137,161 @@ def _json_dump(obj, path: str):
         fh.write("\n")
 
 
+# --------------------------------------------------------------------------
+# CSV text
+# --------------------------------------------------------------------------
+#
+# Every CSV float is printed as '%.17g' prints it, in numpy.  For zeros and
+# 1e-4 <= |x| < 1e17, '%.17g' is positional: the 17 significant digits
+# D = round(|x| * 10**(16 - k)), 10**16 <= D < 10**17, have k + 1 digits
+# before the point, and trailing zeros and a bare point are cut.  D is exact:
+# hi + lo = |x| * 10**(16 - k) exactly (Dekker's two-product, Numer. Math. 18
+# (1971)), 10**(16 - k) is an exact double, and hi is an even integer, so
+# hi + rint(lo) rounds half to even as CPython does.  A log10 guess of k is
+# corrected where D leaves [10**16, 10**17).  Every other value (NaN, the
+# infinities, 0 < |x| < 1e-4 with the subnormals, |x| >= 1e17) goes through
+# '%.17g' one at a time.
+#
+# The text is built in three little-endian 64-bit words.  A zero digit is
+# inserted after the k + 1 integer digits (after the last digit if k < 0),
+# the 18 digits are looked up 2 and 4 at a time, the inserted digit becomes
+# the point, the words are cut after the last digit kept and shifted past the
+# sign and the "0.000" prefix of k < 0, and the end byte follows.  The
+# tables below are indexed by k + 4 where they depend on k.
+
+_KS = np.arange(-4, 17)
+_POW10 = np.array([float(10**e) for e in range(20, -1, -1)])  # 10**(16 - k), exact
+
+
+def _veltkamp(a):
+    """a = hi + lo in halves of at most 26 bits, whose products are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# the inserted digit: D + 9 * (D // s) * s puts a 0 after D // s
+_SPLIT = np.where(_KS < 0, 1, 10 ** np.clip(16 - _KS, 0, 16))
+_POINT_AT = np.where(_KS < 0, 17, _KS + 1)
+# just below 1e17: the largest |x| printed positionally
+_TOP = np.nextafter(1e17, 0)
+
+
+def _digit_tables(width: int, offsets):
+    """For each width-digit group: its ASCII digits as a little-endian word,
+    and, per offset, offset + the place of its last nonzero digit (0 if none)."""
+    groups = np.arange(10**width)
+    digits = groups[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
+    chars = np.zeros((groups.size, 8), np.uint8)
+    chars[:, :width] = digits + ord("0")
+    last = width - np.argmax(digits[:, ::-1] != 0, axis=1)
+    return chars.view("<u8").ravel().astype(np.uint64), [
+        np.where(groups > 0, offset + last, 0).astype(np.int8) for offset in offsets
+    ]
+
+
+def _byte_tables(byte: int, at):
+    """Row w, column i: word w of a text that is 0 but ``byte`` at byte at[i]."""
+    shift = 8 * np.asarray(at) - 64 * np.arange(3)[:, None]
+    inside = (shift >= 0) & (shift < 64)
+    return (np.uint64(byte) << (shift * inside).astype(np.uint64)) * inside
+
+
+# the 18 digits: two, then four groups of four
+_CHARS2, (_LAST2,) = _digit_tables(2, [0])
+_CHARS4, _LAST4 = _digit_tables(4, [2, 6, 10, 14])
+_POINT = _byte_tables(ord("0") ^ ord("."), _POINT_AT)
+_ONE = _byte_tables(1, np.arange(25))
+# per word, the bytes below n
+_MASK = [np.array([(1 << min(max(8 * n - 64 * w, 0), 64)) - 1 for n in range(25)], np.uint64)
+         for w in range(3)]
+# by 21 * sign + k + 4: the sign and, for k < 0, the "0." and zeros
+_PREFIX = [sign + (b"0." + b"0" * (-k - 1) if k < 0 else b"") for sign in (b"", b"-") for k in _KS]
+_PREFIX_WORD = np.array([int.from_bytes(p, "little") for p in _PREFIX], np.uint64)
+_PREFIX_BITS = np.array([8 * len(p) for p in _PREFIX], np.uint64)
+_PREFIX_LEN = np.array([len(p) for p in _PREFIX])
+
+
+def _digits17(a, kk):
+    """round(a * 10**(16 - k)) as int64, exactly, with kk = k + 4."""
+    hi = a * _POW10[kk]
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = _POW10_HI[kk], _POW10_LO[kk]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format_floats(values, end: bytes) -> np.ndarray:
+    """'%.17g' % v + end for every v of values, as a bytes array."""
+    x = np.asarray(values, dtype=float)
+    shape, x = x.shape, x.ravel()
+    ax = np.abs(x)
+    a = np.minimum(np.fmax(ax, 1e-4), _TOP)  # NaN too lands in the range
+    exact = a == ax
+    kk = np.floor(np.log10(a)).astype(np.intp) + 4
+    np.clip(kk, 0, 20, out=kk)
+    d = _digits17(a, kk)
+    redo = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if redo.size:
+        kk[redo] += np.where(d[redo] < 10**16, -1, 1)
+        d[redo] = _digits17(a[redo], kk[redo])
+    # zeros print as 0 with k = 0; so do, until the end, the other values
+    d *= exact
+    kk[~exact] = 4
+    split = _SPLIT[kk]
+    d += 9 * (d // split) * split
+    head = d // 10**8
+    tail = d - head * 10**8
+    q0 = head // 10**8
+    q12 = head - q0 * 10**8
+    q1 = q12 // 10**4
+    q2 = q12 - q1 * 10**4
+    q3 = tail // 10**4
+    q4 = tail - q3 * 10**4
+    # digits kept: the integer part and the fraction to its last nonzero digit
+    keep = np.maximum(kk - 3, _LAST2[q0])
+    for last, q in zip(_LAST4, (q1, q2, q3, q4)):
+        np.maximum(keep, last[q], out=keep)
+    c2, c4 = _CHARS4[q2], _CHARS4[q4]
+    body = (
+        _CHARS2[q0] | (_CHARS4[q1] << np.uint64(16)) | (c2 << np.uint64(48)),
+        (c2 >> np.uint64(16)) | (_CHARS4[q3] << np.uint64(16)) | (c4 << np.uint64(48)),
+        c4 >> np.uint64(16),
+    )
+    key = 21 * np.signbit(x) + kk
+    bits = _PREFIX_BITS[key]
+    back = np.uint64(56) - bits  # the carry shift, 64 - bits, in two steps under 64
+    stop = _PREFIX_LEN[key] + keep
+    carry = _PREFIX_WORD[key]
+    ends = _ONE * np.uint64(ord(end))
+    # a fourth word: '%.17g' of a tiny negative value and the end take 25 bytes
+    words = np.zeros((x.size, 4), "<u8")
+    for w in range(3):
+        word = (body[w] ^ _POINT[w][kk]) & _MASK[w][keep]
+        words[:, w] = (word << bits) | carry | ends[w][stop]
+        carry = (word >> back) >> np.uint64(8)
+    rare = np.flatnonzero(~exact & (ax != 0))
+    extra = [b"%.17g" % v + end for v in x[rare].tolist()]
+    width = max([int(stop.max(initial=0)) + 1] + [len(t) for t in extra])
+    text = words.view(np.uint8)[:, :width].copy().view(f"S{width}").ravel()
+    text[rare] = extra
+    return text.reshape(shape)
+
+
+def _csv_lines(fields) -> str:
+    """One line per element of the broadcast shape of ``fields``: the bytes
+    arrays of its fields side by side, NUL padding dropped.  Each field
+    carries its own separator."""
+    shape = np.broadcast_shapes(*(f.shape for f in fields))
+    text = np.empty(shape + (sum(f.itemsize for f in fields),), np.uint8)
+    at = 0
+    for f in fields:
+        text[..., at : at + f.itemsize] = f[..., None].view(np.uint8)
+        at += f.itemsize
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def _estimate_payload(est: sim.Estimate) -> dict:
     payload = {"std_error": est.std_error, "n": est.n}
     if isinstance(est.mean, complex):
@@ -189,22 +340,20 @@ def cmd_kernel(config: dict) -> int:
         _numbers(grid.get(axis, []), f"grid.{axis}") for axis in "sxty"
     )
     path = _require(config, "output.path", str)
-    rows = []
-    for s in svals:
-        blocks = [ker.kernel_eval_grid(kernel, s, xvals, t, yvals) for t in tvals]
-        for i, x in enumerate(xvals):
-            for t, block in zip(tvals, blocks):
-                rows.extend((s, x, t, y, v) for y, v in zip(yvals, block[i]))
+    values = np.zeros((len(svals), len(xvals), len(tvals), len(yvals)))
+    for i, s in enumerate(svals):
+        for j, t in enumerate(tvals):
+            values[i, :, j] = ker.kernel_eval_grid(kernel, s, xvals, t, yvals)
+    axes = np.ix_(*(_format_floats(v, b",") for v in (svals, xvals, tvals, yvals)))
     with _open_output(path) as fh:
         fh.write("s,x,t,y,value\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_lines([*axes, _format_floats(values, b"\n")]))
     sidecar = {
         "schema": SCHEMA,
         "config": config,
         "variant": kernel.variant,
         "xi": kernel.xi.to_dict() if kernel.xi is not None else None,
-        "truncation": {"query_points": len(rows)},
+        "truncation": {"query_points": values.size},
         "tolerances": {"closed_form_quadrature": ker.QUADRATURE_TOL},
     }
     _json_dump(sidecar, path + ".json")
@@ -218,20 +367,18 @@ def cmd_kernel(config: dict) -> int:
 
 def _write_paths(fh, ens: sim.PathEnsemble) -> None:
     """The ensemble CSV: a row (path, time, component, value[, companion])
-    per sample, formatted one %-template per path, _CSV_CHUNK paths a write."""
+    per sample, _CSV_CHUNK paths a write."""
     columns = [ens.paths] if ens.companions is None else [ens.paths, ens.companions]
     fh.write("path,time,component,value" + ",companion" * (len(columns) - 1) + "\n")
-    tail = ",%.17g" * len(columns) + "\n"
-    template = "".join(
-        f"%d,{_fmt(t)},{j}{tail}" for t in ens.times for j in range(ens.paths.shape[2])
-    )
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
+    index = _format_floats(np.arange(ens.n_paths), b",")[:, None, None]
+    times = _format_floats(ens.times, b",")[:, None]
+    components = _format_floats(np.arange(ens.paths.shape[2]), b",")
     for lo in range(0, ens.n_paths, _CSV_CHUNK):
         hi = min(lo + _CSV_CHUNK, ens.n_paths)
-        args = np.empty((hi - lo,) + ens.paths.shape[1:] + (1 + len(columns),), object)
-        args[..., 0] = np.arange(lo, hi)[:, None, None]
-        for k, col in enumerate(columns, 1):
-            args[..., k] = col[lo:hi]
-        fh.write(template * (hi - lo) % tuple(args.ravel().tolist()))
+        fields = [index[lo:hi], times, components]
+        fields += [_format_floats(col[lo:hi], end) for col, end in zip(columns, ends)]
+        fh.write(_csv_lines(fields))
 
 
 def cmd_simulate(config: dict) -> int:
@@ -239,6 +386,9 @@ def cmd_simulate(config: dict) -> int:
     xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
     times = _numbers(_require(config, "times"), "times")
     seed, n_paths, _ = _mc_params(config)
+    companions = config.get("companions", False)
+    if not isinstance(companions, bool):
+        raise ConfigError("config field 'companions' must be true or false")
     sampler = config.get("sampler", "free")
     if sampler == "free":
         ens = sim.sample_free(proc, xi.points(), times, n_paths, seed)
@@ -246,10 +396,12 @@ def cmd_simulate(config: dict) -> int:
         dt = _number(config.get("dt", 1e-3), "dt")
         ens = sim.sample_noncolliding(proc, xi, times, dt, n_paths, seed)
     elif sampler == "noncolliding_rw":
+        if proc.tag != "RW":
+            raise ConfigError("the noncolliding_rw sampler needs process kind RW")
         ens = sim.sample_noncolliding_rw(xi, times, n_paths, seed)
     else:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    if config.get("companions", False):
+    if companions:
         ens = sim.attach_companions(ens, seed2=seed + 1)
     path = _require(config, "output.path", str)
     with _open_output(path) as fh:

@@ -1,8 +1,11 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmart import cli
 
@@ -27,8 +30,8 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def old_paths_csv(ens):
-    """The per-row f-strings the simulate writer used before its per-path
-    %-templates: the oracle the CLI bytes must equal."""
+    """The simulate CSV from per-row f-strings: the oracle the CLI bytes
+    must equal."""
     header = "path,time,component,value"
     if ens.companions is not None:
         header += ",companion"
@@ -49,6 +52,67 @@ def old_paths_csv(ens):
             for j, (v, c) in enumerate(zip(vals, cvals))
         )
     return header + "\n" + "".join(rows)
+
+
+def old_kernel_csv(kernel, grid):
+    """The kernel CSV from per-row f-strings: the oracle the CLI bytes must
+    equal."""
+    lines = ["s,x,t,y,value\n"]
+    for s in grid["s"]:
+        blocks = [cli.ker.kernel_eval_grid(kernel, s, grid["x"], t, grid["y"]) for t in grid["t"]]
+        for i, x in enumerate(grid["x"]):
+            for t, block in zip(grid["t"], blocks):
+                for y, v in zip(grid["y"], block[i]):
+                    lines.append(",".join(f"{c:.17g}" for c in (s, x, t, y, float(v))) + "\n")
+    return "".join(lines)
+
+
+def g17(values, end):
+    return [b"%.17g" % v + end for v in values]
+
+
+# positional '%.17g' holds for 1e-4 <= |x| < 1e17; around its edges, a log10
+# guess of the exponent can be off by one
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+EDGE_VALUES += [
+    float(v) for p in [float(f"1e{k}") for k in range(-5, 18)] + [2.0**53]
+    for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))
+]
+# doubles below a power of ten whose 17 significant digits round up to it;
+# every such double lies outside the positional range
+CARRIES = [1e-305, 1e-243, 1e-176, 1e-79, 1e-70, 1e-14, 1e98, 1e129, 1e153, 1e220]
+EDGE_VALUES += CARRIES
+EDGE_VALUES += [-v for v in EDGE_VALUES]
+EDGE_VALUES += [math.nan, math.inf, -math.inf, 0.5, 2.5, 100.0, 123456789012345680.0,
+                99999999999999984.0, 0.30000000000000004, 9007199254740993.0]
+
+
+class TestFormatFloats:
+    @pytest.mark.parametrize("end", [b",", b"\n"])
+    def test_edge_values(self, end):
+        assert cli._format_floats(EDGE_VALUES, end).tolist() == g17(EDGE_VALUES, end)
+
+    @pytest.mark.parametrize("value", CARRIES)
+    def test_carries_start_a_new_decade(self, value):
+        assert int(("%.16e" % value).split("e")[1]) == Decimal(value).adjusted() + 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats())
+    def test_matches_percent_g(self, x):
+        assert cli._format_floats([x], b",").tolist() == g17([x], b",")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(), max_size=40), st.sampled_from([b",", b"\n"]))
+    def test_arrays_match_percent_g(self, values, end):
+        text = cli._format_floats(np.array(values, dtype=float).reshape(-1, 1), end)
+        assert text.shape == (len(values), 1)
+        assert text.ravel().tolist() == g17(values, end)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-8, 20, 20_000)
+        values[::7] = np.round(values[::7])
+        assert cli._format_floats(values, b",").tolist() == g17(values.tolist(), b",")
 
 
 class TestKernelCommand:
@@ -126,6 +190,34 @@ class TestKernelCommand:
                 for line in read_text(out).splitlines()[1:]]
         assert rows == [(s, x, t, y) for s in axes["s"] for x in axes["x"]
                         for t in axes["t"] for y in axes["y"]]
+
+    @pytest.mark.parametrize(
+        "kconf, grid, must_contain",
+        [
+            # zeros on the axes; off the diagonal, sin(pi (y - x)) / (pi (y - x))
+            # falls below 1e-4
+            ({"variant": "sine"},
+             {"s": [0.0, 1.0], "x": [0.0, -0.5], "t": [1.0, 1.5],
+              "y": [0.0, 1.00001, 2.000003, -3.0000001, 0.5]}, "e-0"),
+            # the walk kernel is exactly 0 off its parity
+            ({"variant": "rw", "xi": {"atoms": [[0.0, 1], [2.0, 1]]}},
+             {"s": [1.0, 2.0], "x": [-1.0, 0.0, 1.0, 2.0], "t": [2.0, 3.0],
+              "y": [-2.0, -1.0, 0.0, 5.0]}, ",0\n"),
+        ],
+        ids=["sine", "rw"],
+    )
+    def test_bytes_match_per_row_formatting(self, tmp_path, kconf, grid, must_contain):
+        out = str(tmp_path / "grid.csv")
+        path = write_config(
+            tmp_path,
+            {"schema": "detmart/1", "command": "kernel", "kernel": kconf, "grid": grid,
+             "output": {"path": out}},
+        )
+        assert run(["kernel", path]) == 0
+        with open(out, "rb") as fh:
+            text = fh.read()
+        assert text == old_kernel_csv(cli._build_kernel(kconf), grid).encode()
+        assert must_contain.encode() in text
 
     def test_unknown_variant_exit_2(self, tmp_path):
         out = str(tmp_path / "grid.csv")
@@ -242,6 +334,15 @@ CSV_CASES = [
      {"process": {"kind": "RW"}, "xi": {"atoms": [[-0.0, 1], [2.0, 1]]},
       "times": [0, 1, 2], "sampler": "free",
       "mc": {"n_paths": 10, "seed": 7}}, "\n0,0,0,-0\n"),
+    # values below 1e-4 take the per-value fallback inside a chunk
+    ("free-bm-tiny-time",
+     {"process": {"kind": "BM"}, "xi": {"atoms": [[0.0, 1], [1e-5, 1]]},
+      "times": [1e-12, 1e-8], "sampler": "free",
+      "mc": {"n_paths": 30, "seed": 8}}, "e-07\n"),
+    ("noncolliding-bm-chunk-plus-1",
+     {"process": {"kind": "BM"}, "xi": {"atoms": [[0.0, 1], [1.0, 1], [2.5, 1]]},
+      "times": [0.5, 1.25], "sampler": "noncolliding",
+      "mc": {"n_paths": cli._CSV_CHUNK + 1, "seed": 5}}, None),
 ]
 
 
@@ -396,7 +497,8 @@ VALID = {
     "simulate": {
         "process": {"kind": "BM"},
         "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
-        "times": [0.1],
+        # a walk time too, so that only the process is wrong for the walk
+        "times": [1],
         "sampler": "noncolliding",
         "dt": 0.01,
         "mc": {"n_paths": 10, "seed": 1},
@@ -462,6 +564,11 @@ BAD_INPUTS = [
     ("fredholm", "xi.atoms", []),
     ("kernel", "kernel", {"variant": "rw", "xi": {"atoms": []}}),
     ("oconnell", "params.nu_hat", []),
+    # the walk sampler runs only the walk; it ran a BM config as a walk
+    ("simulate", "sampler", "noncolliding_rw"),
+    # companions is a JSON boolean: any truthy value used to attach them
+    ("simulate", "companions", "yes"),
+    ("simulate", "companions", 1),
 ]
 
 
@@ -483,6 +590,16 @@ class TestExitCodes:
         assert run([command, write_config(tmp_path, config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_walk_sampler_refuses_besq(self, tmp_path, capsys):
+        config = json.loads(json.dumps(VALID["simulate"]))
+        config.update(schema="detmart/1", command="simulate", process={"kind": "BESQ", "nu": 1},
+                      sampler="noncolliding_rw")
+        config["output"] = {"path": str(tmp_path / "out")}
+        assert run(["simulate", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the noncolliding_rw sampler needs process kind RW\n"
+        )
 
     @pytest.mark.parametrize("variant", ["extended_hermite", "extended_laguerre"])
     @pytest.mark.parametrize("axis", ["s", "t"])
