@@ -32,7 +32,6 @@ from .martingales import (
     martingale_transform,
     martingale_transform_twotime,
     poly_martingale,
-    sample_ctime,
 )
 from .oconnell import LiftParams, oconnell_theta_cpr, oconnell_theta_dmr, phi_lift
 from .processes import ProcessKind, bes, besq, bm, rw

@@ -389,11 +389,14 @@ def cmd_simulate(config: dict) -> int:
     companions = config.get("companions", False)
     if not isinstance(companions, bool):
         raise ConfigError("config field 'companions' must be true or false")
+    # dt is validated for every sampler, though none takes a time step
+    dt = _number(config.get("dt", 1e-3), "dt")
+    if dt <= 0:
+        raise ConfigError("config field 'dt' must be a positive number")
     sampler = config.get("sampler", "free")
     if sampler == "free":
         ens = sim.sample_free(proc, xi.points(), times, n_paths, seed)
     elif sampler == "noncolliding":
-        dt = _number(config.get("dt", 1e-3), "dt")
         ens = sim.sample_noncolliding(proc, xi, times, dt, n_paths, seed)
     elif sampler == "noncolliding_rw":
         if proc.tag != "RW":

@@ -30,7 +30,6 @@ __all__ = [
     "poly_values",
     "martingale_transform",
     "martingale_transform_twotime",
-    "sample_ctime",
     "bes_q_factor",
 ]
 
@@ -173,99 +172,6 @@ def martingale_transform_twotime(
     vals = poly_values(process, len(co) - 1, t, y)
     out = vals @ co
     return float(out) if np.ndim(out) == 0 else out
-
-
-# --------------------------------------------------------------------------
-# The random time change C(t) for the walk's complex companion
-# --------------------------------------------------------------------------
-
-
-# Devroye's sampler for J*(1) at z = 0: the density is split at _PG_TRUNC
-# into an exponential piece (right) and a truncated Levy piece (left), with
-# branch masses p and q.
-_PG_TRUNC = 0.64
-_PG_K = math.pi**2 / 8.0
-_PG_P = (math.pi / (2.0 * _PG_K)) * math.exp(-_PG_K * _PG_TRUNC)
-_PG_Q = 2.0 * math.erfc(1.0 / math.sqrt(2.0 * _PG_TRUNC))
-_PG_EXP_MASS = _PG_P / (_PG_P + _PG_Q)
-
-
-def _jstar_coeff(n: int, x: np.ndarray) -> np.ndarray:
-    """Term a_n(x) of the alternating series for the J*(1) density."""
-    k = math.pi * (n + 0.5)
-    left = k * (2.0 / (math.pi * x)) ** 1.5 * np.exp(-2.0 * (n + 0.5) ** 2 / x)
-    right = k * np.exp(-0.5 * k * k * x)
-    return np.where(x <= _PG_TRUNC, left, right)
-
-
-def _truncated_levy(rng, n: int) -> np.ndarray:
-    """n draws of the Levy law x^{-3/2} e^{-1/(2x)} conditioned on x < _PG_TRUNC.
-
-    1/sqrt(X) is a normal tail beyond 1/sqrt(_PG_TRUNC), drawn by the
-    exponential-proposal rejection method.
-    """
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        e1 = rng.standard_exponential(todo.size)
-        e2 = rng.standard_exponential(todo.size)
-        ok = e1 * e1 <= 2.0 * e2 / _PG_TRUNC
-        out[todo[ok]] = _PG_TRUNC / (1.0 + _PG_TRUNC * e1[ok]) ** 2
-        todo = todo[~ok]
-    return out
-
-
-def _sample_jstar1(rng, n: int) -> np.ndarray:
-    """n exact draws of J*(1), with E e^{-lam J*(1)} = 1 / cosh(sqrt(2 lam)).
-
-    Devroye's alternating-series method (Devroye, Stat. Probab. Lett. 2009;
-    Polson, Scott and Windle, JASA 2013): every proposal and every series
-    step runs as one masked pass over the samples still undecided.
-    """
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        m = todo.size
-        x = np.empty(m)
-        expo = rng.random(m) < _PG_EXP_MASS
-        n_expo = int(expo.sum())
-        x[expo] = _PG_TRUNC + rng.standard_exponential(n_expo) / _PG_K
-        x[~expo] = _truncated_levy(rng, m - n_expo)
-        s = _jstar_coeff(0, x)
-        y = rng.random(m) * s
-        accept = np.zeros(m, dtype=bool)
-        live = np.arange(m)
-        k = 0
-        while live.size:
-            k += 1
-            a = _jstar_coeff(k, x[live])
-            if k % 2:
-                s[live] -= a
-                hit = y[live] <= s[live]
-                accept[live[hit]] = True
-                live = live[~hit]
-            else:
-                s[live] += a
-                live = live[y[live] <= s[live]]
-        out[todo[accept]] = x[accept]
-        todo = todo[~accept]
-    return out
-
-
-def sample_ctime(t: float, rng, size=None):
-    """Exact samples of C(t), with E e^{-lam C(t)} = cosh(sqrt(2 lam))^{-t}.
-
-    C(t) = 4 PG(t, 0) is the sum of t iid J*(1) variables for a positive
-    integer t, each drawn exactly by Devroye's method; no series is
-    truncated.  Every draw comes from ``rng``, so the output is a function
-    of the generator state alone.
-    """
-    if not (float(t).is_integer() and t >= 1):
-        raise DomainError("sample_ctime requires a positive integer t")
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    draws = _sample_jstar1(rng, int(t) * math.prod(shape))
-    out = draws.reshape((int(t),) + shape).sum(axis=0)
-    return float(out) if size is None else out
 
 
 # --------------------------------------------------------------------------

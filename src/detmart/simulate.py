@@ -21,9 +21,10 @@ estimators, ``reducibility_check`` and the O'Connell estimators) is
 ``_run_blocks``.  The imaginary companions of a block come from one loop,
 ``_companion_block``, on a stream of their own: keyed by (seed2, block) in
 ``attach_companions`` (the CLI passes seed + 1) and by
-(seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  The walk's
-C(t) sampler draws a data-dependent number of variates from that stream,
-so its output still depends on (seed, block) alone.
+(seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  Each
+transition draws a fixed number of variates per coordinate from that
+stream: one normal for BM/BES, and for the walk one uniform per unit of
+time (a hyperbolic-secant variate, see ``_companion_block``).
 
 Noncolliding BM and BESQ paths are exact spectra of matrix diffusions,
 whose increments between observation times come from the (seed, block)
@@ -242,7 +243,8 @@ def _sample_free_block(process, u, ts, size, rng):
 
 def _companion_block(process, ts, size, n_particles, rng):
     """One block of imaginary companions at the times ``ts``: Brownian for
-    BM/BES, time-changed Brownian W(C(t)) for the walk."""
+    BM/BES; for the walk W(C(t)), whose law sech(k)^t is that of a sum of t
+    hyperbolic-secant variates, each (2/pi) asinh(tan(pi (U - 1/2)))."""
     out = np.empty((size, len(ts), n_particles))
     state = np.zeros((size, n_particles))
     prev_t = 0.0
@@ -250,8 +252,14 @@ def _companion_block(process, ts, size, n_particles, rng):
         dt = t - prev_t
         if dt > 0:
             if process.tag == "RW":
-                dc = mart.sample_ctime(dt, rng, size=state.shape)
-                state = state + np.sqrt(dc) * rng.standard_normal(state.shape)
+                # in place, so each unit of time allocates one array
+                for _ in range(int(round(dt))):
+                    y = rng.random(state.shape)
+                    y -= 0.5
+                    y *= math.pi
+                    np.arcsinh(np.tan(y, out=y), out=y)
+                    y *= 2.0 / math.pi
+                    state += y
             else:
                 state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
         out[:, m, :] = state
@@ -261,15 +269,17 @@ def _companion_block(process, ts, size, n_particles, rng):
 
 def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
     """Independent imaginary parts: Brownian for BM/BES, time-changed
-    Brownian W(C(t)) for the walk, drawn from the streams of ``seed2``."""
+    Brownian W(C(t)) for the walk (see ``_companion_block``), drawn from
+    the streams of ``seed2``."""
     proc = ens.process
     if proc.tag not in ("BM", "BES", "RW"):
         raise DomainError(f"no complex companion defined for {proc}")
+    ts = _check_times(proc, ens.times)
     n_particles = ens.paths.shape[2]
 
     def one_block(block, size):
         rng = stream(seed2, block)
-        return _companion_block(proc, ens.times, size, n_particles, rng)
+        return _companion_block(proc, ts, size, n_particles, rng)
 
     comp = _run_blocks(ens.n_paths, 1, one_block)
     return PathEnsemble(
@@ -492,12 +502,9 @@ def sample_noncolliding(
         raise DomainError("dt must be positive")
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
-    u = np.array(xi.support())
-    if process.tag == "BESQ":
-        if (u < 0).any():
-            raise DomainError("BESQ starts must be nonnegative")
-        if process.nu != 0.5 and not float(process.nu).is_integer():
-            raise DomainError(f"BESQ({process.nu}) has no matrix model")
+    u = _check_starts(process, xi.support(), representation=False)
+    if process.tag == "BESQ" and process.nu != 0.5 and not float(process.nu).is_integer():
+        raise DomainError(f"BESQ({process.nu}) has no matrix model")
     ts = _check_times(process, times)
     cells = math.prod(_matrix_model(process, u)[0])
     if cells > _MAX_CELLS:

@@ -178,11 +178,9 @@ def martingales(seed: int = 2345) -> list:
             worst = max(worst, float(rel.max()))
     out.append(_check("walk polynomial one-step mean recurrence", worst, 1e-9))
 
-    rng = np.random.default_rng(seed + 1)
     x0, t, npaths = 1.0, 3, 30_000
-    c = mart.sample_ctime(float(t), rng, size=npaths)
-    w = rng.standard_normal(npaths) * np.sqrt(c)
-    z = x0 + 1j * w
+    ens = sim.attach_companions(sim.sample_free(rw(), [x0], [t], npaths, seed + 1), seed + 2)
+    z = x0 + 1j * ens.companions[:, 0, 0]
     for n in range(1, 6):
         vals = (z**n).real
         se = vals.std(ddof=1) / math.sqrt(npaths)

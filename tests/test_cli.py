@@ -569,17 +569,26 @@ BAD_INPUTS = [
     # companions is a JSON boolean: any truthy value used to attach them
     ("simulate", "companions", "yes"),
     ("simulate", "companions", 1),
+    # dt is validated for every sampler; the free and walk samplers ignored it
+    ("simulate", "dt", "x", {"sampler": "free"}),
+    ("simulate", "dt", -1, {"sampler": "noncolliding_rw", "process": {"kind": "RW"}}),
 ]
 
 
+def _bad_input_id(row):
+    command, field, value, *extra = row
+    parts = [command, field, str(value)]
+    for overrides in extra:
+        parts += [f"{k}={v}" for k, v in overrides.items()]
+    return "-".join(parts)
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize(
-        "command, field, value", BAD_INPUTS, ids=[f"{c}-{f}-{v}" for c, f, v in BAD_INPUTS]
-    )
-    def test_bad_input_exits_2_without_traceback(
-        self, tmp_path, capsys, command, field, value
-    ):
+    @pytest.mark.parametrize("row", BAD_INPUTS, ids=[_bad_input_id(r) for r in BAD_INPUTS])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, row):
+        command, field, value, *extra = row
         config = json.loads(json.dumps(VALID[command]))
+        config.update(*extra)
         node = config
         *parents, leaf = field.split(".")
         for part in parents:

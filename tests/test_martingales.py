@@ -6,6 +6,7 @@ import pytest
 from detmart import configurations as cfg
 from detmart import martingales as mart
 from detmart import quadrature, specfun
+from detmart import simulate as sim
 from detmart.errors import DomainError
 from detmart.processes import besq, bm, rw
 
@@ -249,42 +250,57 @@ class TestTwoTimeTransform:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-class TestCtime:
-    def test_mean_is_t(self):
-        rng = np.random.default_rng(100)
-        t = 2.0
-        samples = mart.sample_ctime(t, rng, size=100_000)
-        se = samples.std(ddof=1) / math.sqrt(len(samples))
-        assert abs(samples.mean() - t) <= 4 * se
+def walk_companions(times, n_paths, seed):
+    """Y(t) = W(C(t)) at ``times`` for n_paths walkers, drawn by
+    ``attach_companions``, as an array (paths, times)."""
+    ens = sim.PathEnsemble(rw(), tuple(times), np.zeros((n_paths, len(times), 1)), seed=0)
+    return sim.attach_companions(ens, seed).companions[:, :, 0]
 
-    def test_positive(self):
-        rng = np.random.default_rng(101)
-        samples = mart.sample_ctime(1.0, rng, size=5000)
-        assert (samples > 0).all()
+
+def within_4se(vals, want):
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    return abs(vals.mean() - want) <= 4 * se
+
+
+class TestCtime:
+    """The law of the walk's time change C(t), E e^{-lam C(t)} =
+    cosh(sqrt(2 lam))^{-t}, read off its companion Y(t) = W(C(t)):
+    E cos(k Y(t)) = E e^{-k^2 C(t) / 2} = sech(k)^t."""
+
+    def test_mean_is_t(self):
+        # E Y(t)^2 = E C(t) = t
+        y = walk_companions([2.0], 200_000, 100)[:, 0]
+        assert within_4se(y**2, 2.0)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("lam", [0.045, 0.1, 0.5, 2.0])
     def test_laplace_transform(self, lam, t):
-        rng = np.random.default_rng(102)
-        samples = mart.sample_ctime(t, rng, size=100_000)
-        vals = np.exp(-lam * samples)
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        want = math.cosh(math.sqrt(2 * lam)) ** (-t)
-        assert abs(vals.mean() - want) <= 4 * se
+        # k = sqrt(2 lam) runs over 0.3, 0.45, 1 and 2
+        k = math.sqrt(2 * lam)
+        y = walk_companions([t], 200_000, 102)[:, 0]
+        assert within_4se(np.cos(k * y), math.cosh(k) ** (-t))
 
     def test_variance_is_two_thirds_t(self):
-        rng = np.random.default_rng(103)
-        t = 2.0
-        samples = mart.sample_ctime(t, rng, size=100_000)
-        var = samples.var(ddof=1)
-        dev2 = (samples - samples.mean()) ** 2
-        se = dev2.std(ddof=1) / math.sqrt(len(samples))
-        assert abs(var - 2 * t / 3) <= 4 * se
+        # E Y^4 = 3 E C^2 = 3 (2t/3 + t^2)
+        for t in (1, 2, 3):
+            y = walk_companions([t], 200_000, 103)[:, 0]
+            assert within_4se(y**4, 3 * t * t + 2 * t), t
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, 0.5, 1.5, math.nan, math.inf])
+    def test_increment_law(self):
+        # Y(3) - Y(1) is independent of Y(1) and has the law of Y(2)
+        n = 200_000
+        y = walk_companions([1.0, 3.0], n, 105)
+        inc = y[:, 1] - y[:, 0]
+        assert abs(np.corrcoef(inc, y[:, 0])[0, 1]) <= 4 / math.sqrt(n)
+        for k in (0.3, 1.0, 2.0):
+            assert within_4se(np.cos(k * inc), math.cosh(k) ** -2), k
+        assert within_4se(inc**4, 16.0)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.5, 1.5, math.nan, math.inf])
     def test_rejects_non_integer_time(self, t):
+        ens = sim.PathEnsemble(rw(), (t,), np.zeros((10, 1, 1)), seed=0)
         with pytest.raises(DomainError):
-            mart.sample_ctime(t, np.random.default_rng(104), size=10)
+            sim.attach_companions(ens, 104)
 
 
 class TestBesMartingalePieces:
@@ -339,16 +355,10 @@ class TestStochasticMartingaleProperty:
 
     def test_rw_cpr_time_change(self):
         # E[(x + i W(C(t)))^n] over the time change matches Fujita's m_n
-        rng = np.random.default_rng(203)
-        x, t, npaths = 1.0, 3.0, 30_000
-        c = mart.sample_ctime(t, rng, size=npaths)
-        w = rng.standard_normal(npaths) * np.sqrt(c)
-        z = x + 1j * w
+        x, t = 1.0, 3
+        z = x + 1j * walk_companions([t], 100_000, 203)[:, 0]
         for n in range(1, 6):
-            vals = z**n
-            se = vals.real.std(ddof=1) / math.sqrt(npaths)
-            want = mart.poly_martingale(rw(), n, int(t), x)
-            assert abs(vals.real.mean() - want) <= 4 * se
+            assert within_4se((z**n).real, mart.poly_martingale(rw(), n, t, x)), n
 
     def test_bm_cpr(self):
         rng = np.random.default_rng(204)

@@ -431,7 +431,7 @@ class TestCpr:
         assert runs[0] == runs[1]
 
     def test_rw_same_for_any_worker_count(self):
-        # the C(t) sampler draws a data-dependent number of variates per block
+        # each block's walk companions come from that block's own stream
         xi = simple(0.0, 2.0)
         n = 3 * sim.BLOCK + 5
         serial = sim.cpr_expectation(rw(), xi, ones, [1, 3], n, seed=20)

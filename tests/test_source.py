@@ -1,8 +1,9 @@
 """Static scan of the package source, standing in for a linter: no unused
 import, no module-level ``_private`` function that nothing calls, no
 public module-level function or class that nothing outside the tests
-reaches, no function-local name that is assigned and never read, and no
-function parameter that is never read.
+reaches, no function-local name that is assigned and never read, no
+function parameter that is never read, and no ``__all__`` entry that its
+module neither defines nor imports.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -181,3 +182,35 @@ def test_no_unread_parameters():
         for param in _unread_parameters(fn)
     ]
     assert not dead, dead
+
+
+def _module_names(tree):
+    """Names bound at module level: definitions, assignments and imports."""
+    out = {name for _, name in _imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _exports(tree):
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
+def test_all_names_exist():
+    stale = [
+        f"{name} exports {export}, which it neither defines nor imports"
+        for name, tree in TREES.items()
+        for export in _exports(tree)
+        if export not in _module_names(tree)
+    ]
+    assert not stale, stale
