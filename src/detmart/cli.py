@@ -29,7 +29,7 @@ from . import oconnell as oc
 from . import simulate as sim
 from . import verify as verify_mod
 from .errors import DetmartError, DomainError, NumericError
-from .processes import process_from_dict
+from .processes import ProcessKind
 
 SCHEMA = "detmart/1"
 
@@ -79,6 +79,64 @@ def _numbers(values, field: str) -> list:
     return [_number(v, field) for v in values]
 
 
+def _pairs(values, field: str) -> list:
+    if not isinstance(values, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in values
+    ):
+        raise ConfigError(f"config field '{field}' must be a list of pairs")
+    return values
+
+
+# --------------------------------------------------------------------------
+# schema nodes: each reader takes the whole config and the node's dotted path
+# --------------------------------------------------------------------------
+
+
+def _process(config: dict, field: str) -> ProcessKind:
+    kind = _require(config, f"{field}.kind")
+    if kind in ("BM", "RW"):
+        return ProcessKind(kind)
+    if kind in ("BESQ", "BES"):
+        return ProcessKind(kind, _number(_require(config, f"{field}.nu"), f"{field}.nu"))
+    raise ConfigError(f"config field '{field}.kind' must be BM, BESQ, BES or RW")
+
+
+def _xi(config: dict, field: str) -> cfg.PointConfiguration:
+    at = f"{field}.atoms"
+    atoms = _pairs(_require(config, at), at)
+    return cfg.PointConfiguration(
+        tuple((_number(loc, at), _number(m, at, positive_int=True)) for loc, m in atoms)
+    )
+
+
+def _spec(config: dict, field: str) -> fred.TestFunctionSpec:
+    times = _numbers(_require(config, f"{field}.times"), f"{field}.times")
+    at = f"{field}.chi"
+    chis = []
+    for item in _require(config, at, list):
+        if not isinstance(item, dict) or ("sites" in item) == ("support" in item):
+            raise ConfigError(f"each entry of config field '{at}' needs exactly one "
+                              "of 'sites' or 'support'")
+        if "sites" in item:
+            sites = _pairs(item["sites"], f"{at}.sites")
+            chis.append(fred.SiteChi(tuple(_numbers(p, f"{at}.sites") for p in sites)))
+            continue
+        if item.get("kind", "indicator") != "indicator":
+            raise ConfigError(f"config field '{at}.kind' must be 'indicator'")
+        support = _numbers(item["support"], f"{at}.support")
+        if len(support) != 2:
+            raise ConfigError(f"config field '{at}.support' must be a pair")
+        scale = _number(item.get("scale"), f"{at}.scale")
+        chis.append(fred.ContinuousChi.indicator(*support, scale))
+    return fred.TestFunctionSpec(tuple(times), tuple(chis))
+
+
+def _params(config: dict, field: str) -> oc.LiftParams:
+    nu_hat = _numbers(_require(config, f"{field}.nu_hat"), f"{field}.nu_hat")
+    a, t, h = (_number(_require(config, f"{field}.{k}"), f"{field}.{k}") for k in "ath")
+    return oc.LiftParams(a=a, nu_hat=cfg.PointConfiguration.from_points(nu_hat), t=t, h=h)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,13 +168,11 @@ def _apply_overrides(config: dict, args) -> dict:
 
 def _mc_params(config: dict):
     seed = _require(config, "mc.seed", int)
-    n_paths = _require(config, "mc.n_paths", int)
-    if n_paths <= 0:
-        raise ConfigError("config field 'mc.n_paths' must be positive")
+    if isinstance(seed, bool):
+        raise ConfigError("config field 'mc.seed' has the wrong type")
+    n_paths = _number(_require(config, "mc.n_paths"), "mc.n_paths", positive_int=True)
     workers = config.get("mc", {}).get("workers", os.cpu_count() or 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("config field 'mc.workers' must be a positive integer")
-    return seed, n_paths, workers
+    return seed, n_paths, _number(workers, "mc.workers", positive_int=True)
 
 
 def _horizon(config: dict):
@@ -308,33 +364,32 @@ def _estimate_payload(est: sim.Estimate) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _build_kernel(kconf: dict) -> ker.CorrelationKernel:
-    variant = kconf.get("variant")
+def _build_kernel(config: dict) -> ker.CorrelationKernel:
+    variant = _require(config, "kernel", dict).get("variant")
     if variant not in ker.VARIANTS:
         raise ConfigError(f"unknown kernel variant {variant!r}")
     if variant in ("general", "rw", "multipoint"):
-        xi = cfg.PointConfiguration.from_dict(_require(kconf, "xi", dict))
+        xi = _xi(config, "kernel.xi")
         if variant == "rw":
             return ker.rw_kernel(xi)
-        proc = process_from_dict(_require(kconf, "process", dict))
+        proc = _process(config, "kernel.process")
         if variant == "general":
             return ker.general_kernel(proc, xi)
         return ker.multipoint_kernel(proc, xi)
     if variant in ("extended_hermite", "extended_laguerre"):
-        size = _number(_require(kconf, "size"), "kernel.size", positive_int=True)
+        size = _number(_require(config, "kernel.size"), "kernel.size", positive_int=True)
         if variant == "extended_hermite":
             return ker.extended_hermite_kernel(size)
         return ker.extended_laguerre_kernel(
-            size, _number(_require(kconf, "nu"), "kernel.nu")
+            size, _number(_require(config, "kernel.nu"), "kernel.nu")
         )
     if variant == "sine":
         return ker.sine_kernel()
-    return ker.bessel_kernel(_number(_require(kconf, "nu"), "kernel.nu"))
+    return ker.bessel_kernel(_number(_require(config, "kernel.nu"), "kernel.nu"))
 
 
 def cmd_kernel(config: dict) -> int:
-    kconf = _require(config, "kernel", dict)
-    kernel = _build_kernel(kconf)
+    kernel = _build_kernel(config)
     grid = _require(config, "grid", dict)
     svals, xvals, tvals, yvals = (
         _numbers(grid.get(axis, []), f"grid.{axis}") for axis in "sxty"
@@ -352,7 +407,7 @@ def cmd_kernel(config: dict) -> int:
         "schema": SCHEMA,
         "config": config,
         "variant": kernel.variant,
-        "xi": kernel.xi.to_dict() if kernel.xi is not None else None,
+        "xi": None if kernel.xi is None else {"atoms": [list(a) for a in kernel.xi.atoms]},
         "truncation": {"query_points": values.size},
         "tolerances": {"closed_form_quadrature": ker.QUADRATURE_TOL},
     }
@@ -382,8 +437,8 @@ def _write_paths(fh, ens: sim.PathEnsemble) -> None:
 
 
 def cmd_simulate(config: dict) -> int:
-    proc = process_from_dict(_require(config, "process", dict))
-    xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
+    proc = _process(config, "process")
+    xi = _xi(config, "xi")
     times = _numbers(_require(config, "times"), "times")
     seed, n_paths, _ = _mc_params(config)
     companions = config.get("companions", False)
@@ -451,8 +506,8 @@ def _build_observable(oconf: dict):
 
 
 def cmd_estimate(config: dict) -> int:
-    proc = process_from_dict(_require(config, "process", dict))
-    xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
+    proc = _process(config, "process")
+    xi = _xi(config, "xi")
     times = _numbers(_require(config, "times"), "times")
     observable = _build_observable(_require(config, "observable", dict))
     seed, n_paths, workers = _mc_params(config)
@@ -479,9 +534,9 @@ def cmd_estimate(config: dict) -> int:
 
 
 def cmd_fredholm(config: dict) -> int:
-    proc = process_from_dict(_require(config, "process", dict))
-    xi = cfg.PointConfiguration.from_dict(_require(config, "xi", dict))
-    spec = fred.TestFunctionSpec.from_dict(_require(config, "spec", dict))
+    proc = _process(config, "process")
+    xi = _xi(config, "xi")
+    spec = _spec(config, "spec")
     route = config.get("route", "series")
     kernel = ker.general_kernel(proc, xi)
     payload = {"schema": SCHEMA, "config": config}
@@ -511,7 +566,7 @@ def cmd_fredholm(config: dict) -> int:
 
 
 def cmd_oconnell(config: dict) -> int:
-    params = oc.LiftParams.from_dict(_require(config, "params", dict))
+    params = _params(config, "params")
     seed, n_paths, workers = _mc_params(config)
     route = config.get("route", "cpr")
     if route == "cpr":

@@ -69,19 +69,6 @@ class PointConfiguration:
     def square(self) -> "PointConfiguration":
         return PointConfiguration(tuple((loc * loc, m) for loc, m in self.atoms))
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"atoms": [[loc, m] for loc, m in self.atoms]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PointConfiguration":
-        try:
-            atoms = tuple((float(a[0]), int(a[1])) for a in d["atoms"])
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise DomainError(f"bad configuration payload: {exc}") from exc
-        return cls(atoms)
-
 
 def _normalize_atoms(raw) -> tuple:
     items = sorted((float(loc), int(m)) for loc, m in raw)

@@ -107,25 +107,6 @@ class TestFunctionSpec:
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise DomainError("times must be strictly increasing")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TestFunctionSpec":
-        try:
-            times = d["times"]
-            if not isinstance(times, list):
-                raise DomainError("test-function times must be a list")
-            chis = []
-            for item in d["chi"]:
-                if "sites" in item:
-                    chis.append(SiteChi(tuple((s, v) for s, v in item["sites"])))
-                else:
-                    a, b = item["support"]
-                    if item.get("kind", "indicator") != "indicator":
-                        raise DomainError("only indicator chis parse from JSON")
-                    chis.append(ContinuousChi.indicator(a, b, item["scale"]))
-            return cls(tuple(times), tuple(chis))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad test-function payload: {exc}") from exc
-
 
 # --------------------------------------------------------------------------
 # Quadrature discretization of each time slice
@@ -150,15 +131,7 @@ def _series_value(kern, spec, order: int) -> float:
     if kern.xi is None:
         raise DomainError("the series needs a finite-configuration kernel")
     slices = [_slice_nodes(chi, order) for chi in spec.chis]
-    mat = np.block(
-        [
-            [
-                ker.kernel_eval_grid(kern, s, xs, t, ys)
-                for t, (ys, _, _) in zip(spec.times, slices)
-            ]
-            for s, (xs, _, _) in zip(spec.times, slices)
-        ]
-    )
+    mat = ker._block_matrix(kern, spec.times, [pts for pts, _, _ in slices])
     wchi = np.concatenate([w * c for _, w, c in slices])
     return float(np.linalg.det(np.eye(len(wchi)) + mat * wchi))
 

@@ -17,7 +17,8 @@ hopeless in double precision already for tau around 4.
 xs x ys at one time pair, computed natively for every variant
 (``kernel_eval`` is its single cell).  The closed forms broadcast over x
 and y; the sine and Bessel integrals share one adaptive panel tree per
-grid.  ``correlation`` assembles one grid block per pair of query times.
+grid.  ``correlation`` and the Fredholm series assemble one grid block per
+pair of times (``_block_matrix``).
 """
 
 from __future__ import annotations
@@ -406,11 +407,16 @@ def correlation(kern: CorrelationKernel, query: SpaceTimeQuery) -> float:
     """
     if not any(query.points):
         return 1.0
-    pairs = list(zip(query.times, query.points))
-    matrix = np.block(
+    return float(np.linalg.det(_block_matrix(kern, query.times, query.points)))
+
+
+def _block_matrix(kern: CorrelationKernel, times, points) -> np.ndarray:
+    """K over the points of every time, stacked: block (m, n) is the
+    ``kernel_eval_grid`` of (times[m], points[m]) against (times[n], points[n])."""
+    pairs = list(zip(times, points))
+    return np.block(
         [[kernel_eval_grid(kern, s, xs, t, ys) for t, ys in pairs] for s, xs in pairs]
     )
-    return float(np.linalg.det(matrix))
 
 
 def gue_density(size: int, t: float, x) -> float:

@@ -55,18 +55,6 @@ class LiftParams:
         if self.nu_hat.total() > 5:
             raise DomainError("at most 5 drift components supported")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LiftParams":
-        try:
-            return cls(
-                a=float(d["a"]),
-                nu_hat=cfg.PointConfiguration.from_points(d["nu_hat"]),
-                t=float(d["t"]),
-                h=float(d["h"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad lift parameter payload: {exc}") from exc
-
 
 _POLE_TOL = 1e-8
 
@@ -92,59 +80,47 @@ def phi_lift(nu_hat: cfg.PointConfiguration, u: float, a: float, x):
     """Lifted cardinal function; vectorized over complex x.
 
     Computed through complex log-gamma sums; the exponential of the sum is
-    branch-independent.  Arguments within 1e-8 of a pole raise.
+    branch-independent.  Arguments within 1e-8 of a pole of Phi^{u,a} raise.
     """
     if a <= 0:
         raise DomainError("lift scale a must be positive")
-    sup = nu_hat.support()
-    if u not in sup:
+    if u not in nu_hat.support():
         raise DomainError(f"{u} is not a drift component")
-    x = np.asarray(x, dtype=complex)
-    _check_poles(u, a, x)
-    acc = specfun.log_gamma(1.0 - a * (u - x))
-    for r in sup:
-        if r == u:
-            continue
-        acc = acc + specfun.log_gamma(np.asarray(a * (r - u), dtype=complex))
-        acc = acc - specfun.log_gamma(a * (r - x))
-    out = np.exp(acc)
+    out = _lift_components(nu_hat, (u,), a, np.asarray(x, dtype=complex))[0]
     return complex(out) if out.ndim == 0 else out
 
 
-def _phi_lift_all(params: LiftParams, z: np.ndarray) -> np.ndarray:
-    """Phi^{u,a}(z) for every drift component u, stacked on a leading axis.
+def _lift_components(nu_hat: cfg.PointConfiguration, us, a: float, z: np.ndarray):
+    """Phi^{u,a}(z) for each drift component u of ``us``, stacked on a
+    leading axis; arguments within 1e-8 of a pole of one of them raise.
 
-    The sums are phi_lift's, term for term, but the log-gammas of a(r - z)
-    are evaluated once and shared by all components: 2N log-gammas per
-    point where N phi_lift calls take N^2.
+    The log-gamma of a(r - z) is evaluated once per r and shared by the
+    components: 2N log-gammas per point for all N of them, where one
+    component at a time takes N^2.
     """
-    sup = params.nu_hat.support()
-    a = params.a
-    for u in sup:
+    sup = nu_hat.support()
+    for u in us:
         _check_poles(u, a, z)
-    shared = [specfun.log_gamma(a * (r - z)) for r in sup]
-    out = np.empty((len(sup),) + z.shape, dtype=complex)
-    for k, u in enumerate(sup):
+    shared = {r: specfun.log_gamma(a * (r - z)) for r in sup if set(us) - {r}}
+    out = np.empty((len(us),) + z.shape, dtype=complex)
+    for k, u in enumerate(us):
         acc = specfun.log_gamma(1.0 - a * (u - z))
-        for r, log_r in zip(sup, shared):
+        for r in sup:
             if r == u:
                 continue
             acc = acc + specfun.log_gamma(np.asarray(a * (r - u), dtype=complex))
-            acc = acc - log_r
+            acc = acc - shared[r]
         out[k] = np.exp(acc)
     return out
 
 
 def _ridge_clearance(params: LiftParams) -> float:
-    """Smallest pole gap, in units of the Gaussian scale sqrt(1/t)."""
-    sigma = math.sqrt(1.0 / params.t)
+    """Smallest pole gap, in units of the Gaussian scale sqrt(1/t): from the
+    lowest drift component to the first pole of the highest.  The gap
+    (v - (u - 1/a)) / sigma is monotone in u and in v, so this is the
+    minimum over all pairs in floating point too."""
     sup = params.nu_hat.support()
-    worst = math.inf
-    for u in sup:
-        first_pole = u - 1.0 / params.a
-        for v in sup:
-            worst = min(worst, (v - first_pole) / sigma)
-    return worst
+    return (min(sup) - (max(sup) - 1.0 / params.a)) / math.sqrt(1.0 / params.t)
 
 
 def _lift_weight(params: LiftParams, z: np.ndarray) -> np.ndarray:
@@ -227,7 +203,8 @@ def _lift_transform(params: LiftParams, x: np.ndarray, order: int) -> np.ndarray
     nodes, weights = quadrature.gauss_hermite(order)
     scale = math.sqrt(2.0 / params.t)
     z = x[..., None] + 1j * scale * nodes
-    vals = _phi_lift_all(params, z) @ weights
+    nu_hat = params.nu_hat
+    vals = _lift_components(nu_hat, nu_hat.support(), params.a, z) @ weights
     return np.moveaxis(vals, 0, -1) / math.sqrt(math.pi)
 
 

@@ -52,19 +52,3 @@ def bes(nu: float) -> ProcessKind:
 
 def rw() -> ProcessKind:
     return ProcessKind("RW")
-
-
-def process_from_dict(d: dict) -> ProcessKind:
-    """Parse ``{"kind": "BESQ", "nu": 0.5}`` style dictionaries."""
-    kind = d.get("kind")
-    if kind in ("BM", "RW"):
-        return ProcessKind(kind)
-    if kind in ("BESQ", "BES"):
-        if "nu" not in d:
-            raise DomainError(f"process {kind} needs field 'nu'")
-        try:
-            nu = float(d["nu"])
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"process {kind} index 'nu': {exc}") from exc
-        return ProcessKind(kind, nu)
-    raise DomainError(f"unknown process kind {kind!r}")

@@ -54,7 +54,7 @@ import numpy as np
 from . import configurations as cfg
 from . import martingales as mart
 from .errors import CapacityError, DomainError, NumericError
-from .processes import ProcessKind, rw
+from .processes import ProcessKind, bm, rw
 
 __all__ = [
     "Estimate",
@@ -245,23 +245,20 @@ def _companion_block(process, ts, size, n_particles, rng):
     """One block of imaginary companions at the times ``ts``: Brownian for
     BM/BES; for the walk W(C(t)), whose law sech(k)^t is that of a sum of t
     hyperbolic-secant variates, each (2/pi) asinh(tan(pi (U - 1/2)))."""
+    if process.tag != "RW":
+        return _sample_free_block(bm(), np.zeros(n_particles), ts, size, rng)
     out = np.empty((size, len(ts), n_particles))
     state = np.zeros((size, n_particles))
     prev_t = 0.0
     for m, t in enumerate(ts):
-        dt = t - prev_t
-        if dt > 0:
-            if process.tag == "RW":
-                # in place, so each unit of time allocates one array
-                for _ in range(int(round(dt))):
-                    y = rng.random(state.shape)
-                    y -= 0.5
-                    y *= math.pi
-                    np.arcsinh(np.tan(y, out=y), out=y)
-                    y *= 2.0 / math.pi
-                    state += y
-            else:
-                state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
+        # in place, so each unit of time allocates one array
+        for _ in range(int(round(t - prev_t))):
+            y = rng.random(state.shape)
+            y -= 0.5
+            y *= math.pi
+            np.arcsinh(np.tan(y, out=y), out=y)
+            y *= 2.0 / math.pi
+            state += y
         out[:, m, :] = state
         prev_t = t
     return out
@@ -662,21 +659,20 @@ def reducibility_check(
 
     lhs = dmr_expectation(process, xi, subset_sum, ts, n_paths, seed)
 
-    # right side: one ensemble per ordered support subset
+    # right side: one ensemble per ordered support subset, each on the
+    # streams of seed + 7919 (subset index + 1)
     rhs_mean = rhs_var = 0.0
     for si, subset in enumerate(itertools.combinations(range(n), n_prime)):
-        v = u[list(subset)]
         cmat = cmat_full[:, list(subset)]
-        key = seed + 7919 * (si + 1)
 
-        def one_block(block, size):
-            paths = _sample_free_block(process, v, ts, size, stream(key, block))
-            mvals = mart.poly_values(process, n - 1, ts[0], paths[:, -1, :])
-            dets = np.linalg.det(mvals @ cmat)
-            obs = np.asarray(observable(_sort_particles(paths[:, :1, :])), dtype=float)
-            return obs * dets
+        def weight(_block, paths, grid):
+            mvals = mart.poly_values(process, n - 1, grid[-1], paths[:, -1, :])
+            return np.linalg.det(mvals @ cmat)
 
-        est = Estimate.from_samples(_run_blocks(n_paths, 1, one_block))
+        est = _representation_estimate(
+            process, cfg.PointConfiguration.from_points(u[list(subset)]), observable,
+            ts, n_paths, seed + 7919 * (si + 1), None, 1, weight,
+        )
         rhs_mean += est.mean
         rhs_var += est.std_error**2
     count = math.comb(n, n_prime)

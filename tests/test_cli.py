@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from detmart import cli
@@ -216,7 +216,7 @@ class TestKernelCommand:
         assert run(["kernel", path]) == 0
         with open(out, "rb") as fh:
             text = fh.read()
-        assert text == old_kernel_csv(cli._build_kernel(kconf), grid).encode()
+        assert text == old_kernel_csv(cli._build_kernel({"kernel": kconf}), grid).encode()
         assert must_contain.encode() in text
 
     def test_unknown_variant_exit_2(self, tmp_path):
@@ -246,6 +246,25 @@ class TestKernelCommand:
         )
         assert run(["kernel", path]) == 0
         assert len(read_text(out).strip().splitlines()) == 3
+
+    def test_sidecar_xi_is_config_atoms(self, tmp_path):
+        # the sidecar holds the parsed configuration: sorted, merged and
+        # in floats, which for these atoms is the config's own list
+        out = str(tmp_path / "grid.csv")
+        atoms = [[0.0, 2], [1.5, 1]]
+        path = write_config(
+            tmp_path,
+            {
+                "schema": "detmart/1",
+                "command": "kernel",
+                "kernel": {"variant": "multipoint", "process": {"kind": "BM"},
+                           "xi": {"atoms": atoms}},
+                "grid": {"s": [1.0], "x": [0.3], "t": [1.0], "y": [0.7]},
+                "output": {"path": out},
+            },
+        )
+        assert run(["kernel", path]) == 0
+        assert read_json(out + ".json")["xi"] == {"atoms": atoms}
 
 
 class TestSimulateCommand:
@@ -446,6 +465,37 @@ class TestFredholmCommand:
             values[route] = read_json(out)["value"]
         assert values["series"] == pytest.approx(values["finite_rank"], abs=1e-8)
 
+    def test_spec_with_sites_and_support(self, tmp_path, monkeypatch):
+        specs = []
+        series = cli.fred.fredholm_series
+
+        def spy(kernel, spec, quad_order):
+            specs.append(spec)
+            return series(kernel, spec, quad_order=quad_order)
+
+        monkeypatch.setattr(cli.fred, "fredholm_series", spy)
+        config = {
+            "schema": "detmart/1",
+            "command": "fredholm",
+            "process": {"kind": "BM"},
+            "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
+            "spec": {
+                "times": [1, 2.0],
+                "chi": [
+                    {"support": [-1, 1.0], "kind": "indicator", "scale": -0.5},
+                    {"sites": [[0, 0.3], [2, -0.2]]},
+                ],
+            },
+            "output": {"path": str(tmp_path / "out.json")},
+        }
+        assert run(["fredholm", write_config(tmp_path, config)]) == 0
+        (spec,) = specs
+        assert spec.times == (1.0, 2.0)
+        assert spec.chis[0].support == (-1.0, 1.0)
+        assert spec.chis[0](np.array([0.0, 3.0])).tolist() == [-0.5, 0.0]
+        assert spec.chis[1].sites == ((0.0, 0.3), (2.0, -0.2))
+        assert spec.chis[1](np.array([2.0, 1.0])).tolist() == [-0.2, 0.0]
+
 
 class TestOconnellCommand:
     def test_reference_route(self, tmp_path):
@@ -572,7 +622,35 @@ BAD_INPUTS = [
     # dt is validated for every sampler; the free and walk samplers ignored it
     ("simulate", "dt", "x", {"sampler": "free"}),
     ("simulate", "dt", -1, {"sampler": "noncolliding_rw", "process": {"kind": "RW"}}),
+    # numbers are finite JSON numbers and multiplicities positive integers:
+    # each of these used to be coerced and run
+    ("oconnell", "params.nu_hat", "12"),
+    ("estimate", "xi.atoms", [[0.0, 1.7], [2.0, 1]]),
+    ("estimate", "xi.atoms", [[0.0, True], [2.0, 1]]),
+    ("fredholm", "spec.times", [True]),
+    ("oconnell", "params.t", True),
+    ("oconnell", "params.a", "0.1"),
+    ("simulate", "process", {"kind": "BESQ", "nu": "0.5"}),
+    ("estimate", "xi.atoms", [["0", 1], [2.0, 1]]),
+    ("fredholm", "spec.chi", [{"support": [-1.0, math.inf], "scale": -0.6}]),
+    # a chi is either on sites or on an interval
+    ("fredholm", "spec.chi", [{"sites": [[0, 0.3]], "support": [-1.0, 2.5], "scale": -0.6}]),
 ]
+
+
+def _numeric_leaves(node, path=()):
+    """Paths (keys and list indices) to the numbers in a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        return [path] if number else []
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
+
+
+NUMERIC_LEAVES = [(c, path) for c in sorted(VALID) for path in _numeric_leaves(VALID[c])]
 
 
 def _bad_input_id(row):
@@ -594,6 +672,24 @@ class TestExitCodes:
         for part in parents:
             node = node[part]
         node[leaf] = value
+        config.update(schema="detmart/1", command=command)
+        config["output"] = {"path": str(tmp_path / "out")}
+        assert run([command, write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(NUMERIC_LEAVES),
+           st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                     st.lists(st.integers(-3, 3), max_size=2)))
+    def test_non_number_leaf_exits_2(self, tmp_path, capsys, leaf, value):
+        command, path = leaf
+        config = json.loads(json.dumps(VALID[command]))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         config.update(schema="detmart/1", command=command)
         config["output"] = {"path": str(tmp_path / "out")}
         assert run([command, write_config(tmp_path, config)]) == 2

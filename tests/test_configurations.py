@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -50,11 +49,6 @@ class TestPointConfiguration:
         xi = cfg.PointConfiguration(((-1.0, 2), (0.5, 1), (2.0, 3)))
         assert xi.square().total() == xi.total()
 
-    def test_json_round_trip(self):
-        xi = cfg.PointConfiguration(((0.0, 2), (1.5, 1)))
-        again = cfg.PointConfiguration.from_dict(json.loads(json.dumps(xi.to_dict())))
-        assert again == xi
-
     def test_bad_multiplicity(self):
         with pytest.raises(DomainError):
             cfg.PointConfiguration(((0.0, 0),))
@@ -62,8 +56,6 @@ class TestPointConfiguration:
     def test_empty(self):
         with pytest.raises(DomainError, match="at least one point"):
             cfg.PointConfiguration(())
-        with pytest.raises(DomainError, match="at least one point"):
-            cfg.PointConfiguration.from_dict({"atoms": []})
 
     def test_nonfinite_location(self):
         for loc in (math.nan, math.inf, -math.inf):

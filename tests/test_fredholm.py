@@ -31,20 +31,6 @@ def two_time_spec():
 
 
 class TestSpecParsing:
-    def test_json_round_trip(self):
-        spec = fred.TestFunctionSpec.from_dict(
-            {
-                "times": [1.0, 2.0],
-                "chi": [
-                    {"support": [-1.0, 1.0], "kind": "indicator", "scale": -0.5},
-                    {"sites": [[0, 0.3], [2, -0.2]]},
-                ],
-            }
-        )
-        assert spec.times == (1.0, 2.0)
-        assert spec.chis[0](np.array([0.0, 3.0])).tolist() == [-0.5, 0.0]
-        assert spec.chis[1](np.array([2.0, 1.0])).tolist() == [-0.2, 0.0]
-
     def test_chi_floor(self):
         with pytest.raises(DomainError):
             fred.ContinuousChi.indicator(0.0, 1.0, -1.5)

@@ -145,16 +145,23 @@ class TestLiftWeight:
         params = oc.LiftParams(a=0.3, nu_hat=nu_hat, t=1.0, h=0.0)
         rng = np.random.default_rng(82)
         z = rng.uniform(-2, 4, size=(30, 7)) + 1j * rng.uniform(0.1, 2, size=(30, 7))
-        got = oc._phi_lift_all(params, z)
+        sup = nu_hat.support()
+        got = oc._lift_components(nu_hat, sup, 0.3, z)
         assert got.shape == (4,) + z.shape
-        for k, u in enumerate(nu_hat.support()):
+        for k, u in enumerate(sup):
             want = oc.phi_lift(nu_hat, u, 0.3, z)
             assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_shared_components_reject_poles(self):
-        params = oc.LiftParams(a=0.5, nu_hat=drifts(0.0, 1.0), t=1.0, h=0.0)
+        nu_hat = drifts(0.0, 1.0)
         with pytest.raises(DomainError):
-            oc._phi_lift_all(params, np.array([0.5 + 1j, -2.0 + 0j]))
+            oc._lift_components(nu_hat, nu_hat.support(), 0.5, np.array([0.5 + 1j, -2.0 + 0j]))
+        # -2 is on the pole ladder of the component at 0 only: Phi^{1,a}(-2)
+        # is Gamma(1 - a (1 + 2)) Gamma(a (0 - 1)) / Gamma(a (0 + 2))
+        want = math.gamma(-0.5) * math.gamma(1.0 - 1.5) / math.gamma(1.0)
+        assert oc.phi_lift(nu_hat, 1.0, 0.5, -2.0) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(DomainError):
+            oc.phi_lift(nu_hat, 0.0, 0.5, -2.0)
 
 
 class TestEdgeCases:

@@ -2,8 +2,10 @@
 import, no module-level ``_private`` function that nothing calls, no
 public module-level function or class that nothing outside the tests
 reaches, no function-local name that is assigned and never read, no
-function parameter that is never read, and no ``__all__`` entry that its
-module neither defines nor imports.
+function parameter that is never read, no ``__all__`` entry that its
+module neither defines nor imports, and no reader or writer of the
+detmart/1 config (``from_dict``, ``to_dict``, ``*_from_dict``) outside
+``cli.py``, the one module that reads the schema.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -214,3 +216,15 @@ def test_all_names_exist():
         if export not in _module_names(tree)
     ]
     assert not stale, stale
+
+
+def test_config_schema_read_in_cli_only():
+    stray = [
+        f"{name}:{node.lineno} defines {node.name}"
+        for name, tree in TREES.items()
+        if name != "cli.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (node.name in ("from_dict", "to_dict") or node.name.endswith("_from_dict"))
+    ]
+    assert not stray, stray
