@@ -175,6 +175,14 @@ def _mc_params(config: dict):
     return seed, n_paths, _number(workers, "mc.workers", positive_int=True)
 
 
+def _dt(config: dict, default: float) -> float:
+    """The positive ``dt`` of every simulate and oconnell route; none steps by it."""
+    dt = _number(config.get("dt", default), "dt")
+    if dt <= 0:
+        raise ConfigError("config field 'dt' must be a positive number")
+    return dt
+
+
 def _horizon(config: dict):
     horizon = config.get("horizon")
     return None if horizon is None else _number(horizon, "horizon")
@@ -444,10 +452,7 @@ def cmd_simulate(config: dict) -> int:
     companions = config.get("companions", False)
     if not isinstance(companions, bool):
         raise ConfigError("config field 'companions' must be true or false")
-    # dt is validated for every sampler, though none takes a time step
-    dt = _number(config.get("dt", 1e-3), "dt")
-    if dt <= 0:
-        raise ConfigError("config field 'dt' must be a positive number")
+    dt = _dt(config, 1e-3)
     sampler = config.get("sampler", "free")
     if sampler == "free":
         ens = sim.sample_free(proc, xi.points(), times, n_paths, seed)
@@ -568,6 +573,7 @@ def cmd_fredholm(config: dict) -> int:
 def cmd_oconnell(config: dict) -> int:
     params = _params(config, "params")
     seed, n_paths, workers = _mc_params(config)
+    dt = _dt(config, 5e-4)
     route = config.get("route", "cpr")
     if route == "cpr":
         est = oc.oconnell_theta_cpr(params, n_paths, seed, workers=workers)
@@ -575,12 +581,7 @@ def cmd_oconnell(config: dict) -> int:
         est = oc.oconnell_theta_dmr(params, n_paths, seed, workers=workers)
     elif route == "reference":
         est = oc.reciprocal_reference(
-            params.nu_hat,
-            params.t,
-            params.h,
-            n_paths,
-            seed,
-            dt=_number(config.get("dt", 5e-4), "dt"),
+            params.nu_hat, params.t, params.h, n_paths, seed, dt=dt
         )
     else:
         raise ConfigError(f"unknown oconnell route {route!r}")

@@ -19,7 +19,6 @@ so it needs no truncation of block sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import kernels as ker
 from . import martingales as mart
 from . import quadrature, simulate, specfun
 from .errors import DomainError, NumericError
-from .processes import ProcessKind
+from .processes import ProcessKind, check_times
 
 __all__ = [
     "ContinuousChi",
@@ -45,28 +44,26 @@ _SHORTCUT_ORDER = 200
 
 @dataclass(frozen=True)
 class ContinuousChi:
-    """chi supported on a compact interval; ``fn`` vectorized on it."""
+    """chi equal to ``scale`` on a compact interval and 0 off it."""
 
     support: tuple
-    fn: Callable
+    scale: float
 
     def __post_init__(self):
         a, b = self.support
         if not a < b:
             raise DomainError("chi support must be a nonempty interval")
+        if self.scale <= -1.0:
+            raise DomainError("chi must stay above -1")
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         a, b = self.support
-        inside = (y >= a) & (y <= b)
-        vals = np.where(inside, self.fn(y), 0.0)
-        return vals
+        return np.where((y >= a) & (y <= b), self.scale, 0.0)
 
     @classmethod
     def indicator(cls, a: float, b: float, scale: float) -> "ContinuousChi":
-        if scale <= -1.0:
-            raise DomainError("chi must stay above -1")
-        return cls(support=(float(a), float(b)), fn=lambda y: np.full_like(y, scale))
+        return cls(support=(float(a), float(b)), scale=float(scale))
 
 
 @dataclass(frozen=True)
@@ -91,21 +88,17 @@ class SiteChi:
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Times with one chi per time; times strictly increasing."""
+    """Times, as ``check_times`` admits them, with one chi per time."""
 
     times: tuple
     chis: tuple
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
+        ts = check_times(None, self.times)
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "chis", tuple(self.chis))
-        if not ts:
-            raise DomainError("times must not be empty")
         if len(ts) != len(self.chis):
             raise DomainError("need exactly one chi per time")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise DomainError("times must be strictly increasing")
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from . import configurations as cfg
 from . import martingales as mart
 from . import quadrature, specfun
 from .errors import DomainError, NumericError
-from .processes import ProcessKind, bm, besq, rw
+from .processes import ProcessKind, bm, besq, check_starts, check_times, rw
 
 __all__ = [
     "VARIANTS",
@@ -102,9 +102,7 @@ def general_kernel(process: ProcessKind, xi: cfg.PointConfiguration) -> Correlat
 def rw_kernel(xi: cfg.PointConfiguration) -> CorrelationKernel:
     if not xi.simple():
         raise DomainError("walk kernel needs a simple configuration")
-    for u in xi.support():
-        if u != int(u) or int(u) % 2 != 0:
-            raise DomainError("walk kernel needs even integer starting sites")
+    check_starts(rw(), xi.support(), representation=True)
     return CorrelationKernel("rw", process=rw(), xi=xi)
 
 
@@ -140,14 +138,12 @@ class SpaceTimeQuery:
     points: tuple  # tuple of tuples, one per time
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
+        ts = check_times(None, self.times)
         ps = tuple(tuple(float(x) for x in row) for row in self.points)
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         if len(ts) != len(ps):
             raise DomainError("times and point lists must align")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise DomainError("query times must be strictly increasing")
         if any(t <= 0 for t in ts):
             raise DomainError("query times must be positive")
         if sum(len(row) for row in ps) > 64:
@@ -186,9 +182,7 @@ def _twotime_coeff_matrix(
 
 
 def _rw_parity_ok(t: float, x: np.ndarray) -> np.ndarray:
-    """Sites x a walk can occupy at time t: integer t >= 0, t + x even."""
-    if t < 0 or not float(t).is_integer():
-        return np.zeros(x.shape, dtype=bool)
+    """Integer offsets x from a start that a walk reaches at time t: t + x even."""
     return (x == np.floor(x)) & ((t + x) % 2 == 0)
 
 
@@ -220,7 +214,11 @@ def kernel_eval_grid(
     proc, xi = kern.process, kern.xi
     mask = None
     if v == "rw":
-        mask = np.outer(_rw_parity_ok(s, xs), _rw_parity_ok(t, ys))
+        check_times(proc, (s,))
+        check_times(proc, (t,))
+        # every start has the parity of the first
+        u0 = xi.support()[0]
+        mask = np.outer(_rw_parity_ok(s, xs - u0), _rw_parity_ok(t, ys - u0))
         if not mask.any():
             return np.zeros(mask.shape)
     sup = xi.support()

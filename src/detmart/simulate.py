@@ -54,7 +54,7 @@ import numpy as np
 from . import configurations as cfg
 from . import martingales as mart
 from .errors import CapacityError, DomainError, NumericError
-from .processes import ProcessKind, bm, rw
+from .processes import ProcessKind, bm, check_starts, check_times, rw
 
 __all__ = [
     "Estimate",
@@ -134,7 +134,6 @@ class PathEnsemble:
     process: ProcessKind
     times: tuple
     paths: np.ndarray
-    seed: int
     companions: np.ndarray | None = None
 
     def __post_init__(self):
@@ -146,36 +145,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
-
-
-def _check_times(process: ProcessKind, times) -> tuple:
-    ts = tuple(float(t) for t in times)
-    if not ts:
-        raise DomainError("times must not be empty")
-    if not all(math.isfinite(t) for t in ts):
-        raise DomainError("times must be finite")
-    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise DomainError("times must be strictly increasing")
-    if any(t < 0 for t in ts):
-        raise DomainError("times must be nonnegative")
-    if process.tag == "RW" and any(not float(t).is_integer() for t in ts):
-        raise DomainError("walk times must be integers")
-    return ts
-
-
-def _check_starts(process: ProcessKind, u, representation: bool) -> np.ndarray:
-    """Starting points as floats: BESQ and BES from >= 0, the walk from
-    integers; the walk representations also need one parity, or walkers
-    swap without meeting and the determinant identity fails."""
-    u = np.asarray(u, dtype=float)
-    if process.tag in ("BESQ", "BES") and (u < 0).any():
-        raise DomainError(f"{process.tag} starts must be nonnegative")
-    if process.tag == "RW":
-        if any(not float(v).is_integer() for v in u):
-            raise DomainError("walk starts must be integers")
-        if representation and len({int(v) % 2 for v in u}) > 1:
-            raise DomainError("walk starts must all have the same parity")
-    return u
 
 
 def _sort_particles(paths: np.ndarray) -> np.ndarray:
@@ -202,14 +171,14 @@ def sample_free(
     process: ProcessKind, u, times, n_paths: int, seed: int
 ) -> PathEnsemble:
     """Independent free paths from u_j, exact transition sampling."""
-    ts = _check_times(process, times)
-    u = _check_starts(process, u, representation=False)
+    ts = check_times(process, times)
+    u = check_starts(process, u, representation=False)
 
     def one_block(block, size):
         return _sample_free_block(process, u, ts, size, stream(seed, block))
 
     out = _run_blocks(n_paths, 1, one_block)
-    return PathEnsemble(process=process, times=ts, paths=out, seed=int(seed))
+    return PathEnsemble(process=process, times=ts, paths=out)
 
 
 def _sample_free_block(process, u, ts, size, rng):
@@ -271,7 +240,7 @@ def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
     proc = ens.process
     if proc.tag not in ("BM", "BES", "RW"):
         raise DomainError(f"no complex companion defined for {proc}")
-    ts = _check_times(proc, ens.times)
+    ts = check_times(proc, ens.times)
     n_particles = ens.paths.shape[2]
 
     def one_block(block, size):
@@ -283,7 +252,6 @@ def attach_companions(ens: PathEnsemble, seed2: int) -> PathEnsemble:
         process=proc,
         times=ens.times,
         paths=ens.paths,
-        seed=ens.seed,
         companions=comp,
     )
 
@@ -348,6 +316,16 @@ def _run_blocks(n_paths, workers, block_fn):
     return np.concatenate(results)
 
 
+def _observation_grid(process, times, T) -> tuple:
+    """The checked times, and the sampling grid: them, then a later horizon T."""
+    ts = check_times(process, times)
+    if T is None or T == ts[-1]:
+        return ts, ts
+    if T < ts[-1]:
+        raise DomainError("horizon must not precede the last observation time")
+    return ts, check_times(process, ts + (T,))
+
+
 def _representation_estimate(
     process, xi, observable, times, n_paths, seed, T, workers, weight_fn
 ) -> Estimate:
@@ -356,12 +334,8 @@ def _representation_estimate(
     observed at ``grid``, whose last entry is the horizon."""
     if not xi.simple():
         raise DomainError("representation estimators need a simple configuration")
-    ts = _check_times(process, times)
-    horizon = float(ts[-1]) if T is None else float(T)
-    if horizon < ts[-1]:
-        raise DomainError("horizon must not precede the last observation time")
-    grid = ts if horizon == ts[-1] else ts + (horizon,)
-    u = _check_starts(process, xi.support(), representation=True)
+    ts, grid = _observation_grid(process, times, T)
+    u = check_starts(process, xi.support(), representation=True)
 
     def one_block(block, size):
         paths = _sample_free_block(process, u, grid, size, stream(seed, block))
@@ -444,10 +418,8 @@ def sample_noncolliding_rw(
     """
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
-    u = np.array(xi.support())
-    if any(v != int(v) or int(v) % 2 != 0 for v in u):
-        raise DomainError("starting sites must be distinct even integers")
-    ts = _check_times(rw(), times)
+    u = check_starts(rw(), xi.support(), representation=True)
+    ts = check_times(rw(), times)
     n = len(u)
     horizon = int(ts[-1])
     moves = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=float)
@@ -479,7 +451,7 @@ def sample_noncolliding_rw(
         return out
 
     out = _run_blocks(n_paths, 1, one_block)
-    return PathEnsemble(process=rw(), times=ts, paths=out, seed=int(seed))
+    return PathEnsemble(process=rw(), times=ts, paths=out)
 
 
 def sample_noncolliding(
@@ -499,10 +471,10 @@ def sample_noncolliding(
         raise DomainError("dt must be positive")
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
-    u = _check_starts(process, xi.support(), representation=False)
+    u = check_starts(process, xi.support(), representation=False)
     if process.tag == "BESQ" and process.nu != 0.5 and not float(process.nu).is_integer():
         raise DomainError(f"BESQ({process.nu}) has no matrix model")
-    ts = _check_times(process, times)
+    ts = check_times(process, times)
     cells = math.prod(_matrix_model(process, u)[0])
     if cells > _MAX_CELLS:
         raise CapacityError(f"matrix model of {cells} > {_MAX_CELLS} entries")
@@ -519,7 +491,7 @@ def sample_noncolliding(
         )
 
     out = _run_blocks(n_paths, 1, one_block)
-    return PathEnsemble(process=process, times=ts, paths=out, seed=int(seed))
+    return PathEnsemble(process=process, times=ts, paths=out)
 
 
 def _matrix_model(process, u):
@@ -589,12 +561,10 @@ def brute_force_rw(
     """
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
-    u = _check_starts(rw(), xi.support(), representation=True)
+    u = check_starts(rw(), xi.support(), representation=True)
     n = len(u)
-    ts = [int(t) for t in _check_times(rw(), times)]
-    horizon = int(ts[-1]) if T is None else int(T)
-    if horizon < ts[-1]:
-        raise DomainError("horizon must not precede the last observation time")
+    ts, grid = _observation_grid(rw(), times, T)
+    horizon = int(grid[-1])
     bits = n * horizon
     if bits > 24:
         raise CapacityError("enumeration bounded by 2^(N T) <= 2^24 outcomes")
@@ -608,10 +578,13 @@ def brute_force_rw(
         # bit (j * horizon + s) is the step of particle j at time s+1
         steps = ((idx[:, None] >> np.arange(bits)) & 1) * 2 - 1
         steps = steps.reshape(len(idx), n, horizon)
-        pos = u[None, :, None] + np.cumsum(steps, axis=2)  # (chunk, n, T)
-        at_obs = np.stack([pos[:, :, t - 1] for t in ts], axis=1)  # (chunk, M, n)
+        # pos[:, j, s] is particle j at time s, from its start at s = 0
+        pos = np.zeros((len(idx), n, horizon + 1))
+        np.cumsum(steps, axis=2, out=pos[:, :, 1:])
+        pos += u[:, None]
+        at_obs = np.stack([pos[:, :, int(t)] for t in ts], axis=1)  # (chunk, M, n)
         fvals = np.asarray(observable(_sort_particles(at_obs)), dtype=float)
-        end = pos[:, :, horizon - 1].astype(float)
+        end = pos[:, :, horizon]
         weights = det_weight(rw(), xi, horizon, end)
         free_acc += float(fvals @ weights)
         ordered = (np.diff(pos, axis=1) > 0).all(axis=(1, 2))
@@ -645,7 +618,7 @@ def reducibility_check(
     n = len(sup)
     if not 1 <= n_prime <= n <= 4:
         raise DomainError("supported sizes: 1 <= n_prime <= N <= 4")
-    ts = _check_times(process, (t,))
+    ts = check_times(process, (t,))
     u = np.array(sup)
     cmat_full = np.column_stack([cfg.phi_coeffs(xi, v) for v in sup])
 

@@ -572,6 +572,12 @@ VALID = {
     },
 }
 
+_WALK_CPR = {"estimator": "cpr", "process": {"kind": "RW"}, "times": [2]}
+_WALK_KERNEL = {"kernel": {"variant": "rw", "xi": {"atoms": [[0.0, 1], [2.0, 1]]}},
+                "grid": {"s": [2], "x": [0.0], "t": [2], "y": [0.0]}}
+_OCONNELL_DMR = {"route": "dmr",
+                 "params": {"a": 0.1, "nu_hat": [-1.0, 1.0], "t": 1.0, "h": 0.0}}
+
 BAD_INPUTS = [
     ("fredholm", "quad_order", "abc"),
     ("fredholm", "quad_order", 0),
@@ -635,6 +641,20 @@ BAD_INPUTS = [
     ("fredholm", "spec.chi", [{"support": [-1.0, math.inf], "scale": -0.6}]),
     # a chi is either on sites or on an interval
     ("fredholm", "spec.chi", [{"sites": [[0, 0.3]], "support": [-1.0, 2.5], "scale": -0.6}]),
+    # every route refuses the times the process does not admit: these ran,
+    # the series at 1.0, the horizon rounded, the grid as zeros
+    ("fredholm", "spec.times", [2.5], {"process": {"kind": "RW"}}),
+    ("fredholm", "spec.times", [-2], {"process": {"kind": "RW"}}),
+    ("estimate", "horizon", 2.5, _WALK_CPR),
+    ("estimate", "horizon", 3.5, _WALK_CPR),
+    ("kernel", "grid.s", [2.5], _WALK_KERNEL),
+    ("kernel", "grid.s", [-1], _WALK_KERNEL),
+    ("kernel", "grid.t", [2.5], _WALK_KERNEL),
+    # dt is validated for every oconnell route; cpr and dmr ignored it
+    ("oconnell", "dt", "x", {"route": "cpr"}),
+    ("oconnell", "dt", 0, {"route": "cpr"}),
+    ("oconnell", "dt", -1, _OCONNELL_DMR),
+    ("oconnell", "dt", 0, _OCONNELL_DMR),
 ]
 
 
@@ -666,7 +686,7 @@ class TestExitCodes:
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, row):
         command, field, value, *extra = row
         config = json.loads(json.dumps(VALID[command]))
-        config.update(*extra)
+        config.update(*json.loads(json.dumps(extra)))  # rows share their dicts
         node = config
         *parents, leaf = field.split(".")
         for part in parents:
@@ -705,6 +725,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: the noncolliding_rw sampler needs process kind RW\n"
         )
+
+    @pytest.mark.parametrize("route", [{"route": "cpr"}, _OCONNELL_DMR, {"route": "reference"}],
+                             ids=["cpr", "dmr", "reference"])
+    def test_oconnell_dt_is_a_config_field_on_every_route(self, tmp_path, capsys, route):
+        config = json.loads(json.dumps(VALID["oconnell"]))
+        config.update(json.loads(json.dumps(route)), schema="detmart/1", command="oconnell", dt=0)
+        config["output"] = {"path": str(tmp_path / "out")}
+        assert run(["oconnell", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == "error: config field 'dt' must be a positive number\n"
 
     @pytest.mark.parametrize("variant", ["extended_hermite", "extended_laguerre"])
     @pytest.mark.parametrize("axis", ["s", "t"])

@@ -42,6 +42,13 @@ class TestSpecParsing:
         with pytest.raises(DomainError):
             fred.TestFunctionSpec((1.0, 1.0), (chi, chi))
 
+    def test_equal_indicator_specs_compare_equal(self):
+        # an indicator is its support and scale, not a fresh lambda
+        assert two_time_spec() == two_time_spec()
+        chi = fred.ContinuousChi.indicator(-1.0, 1.0, -0.4)
+        assert chi != fred.ContinuousChi.indicator(-1.0, 1.0, 0.4)
+        assert chi(np.array([-2.0, 0.0, 1.0])).tolist() == [0.0, -0.4, -0.4]
+
 
 class TestFredholmSeries:
     def test_zero_chi_is_one(self):
@@ -145,19 +152,29 @@ class TestFiniteRank:
         assert got == pytest.approx(1.0 - lam * mass, abs=1e-10)
 
     def test_rw_matches_enumeration(self):
-        xi = simple(0.0, 2.0)
-        kern = ker.rw_kernel(xi)
-        chi = fred.SiteChi(((-2, 0.4), (0, -0.5), (2, 0.25), (4, -0.3)))
-        spec = fred.TestFunctionSpec((2,), (chi,))
+        # odd starts too: the walk kernel takes integer starts of one parity,
+        # with chi on the sites of that parity (offset o)
+        for points, o in (((0.0, 2.0), 0), ((1.0, 3.0), 1), ((-3.0, 1.0, 5.0), 1)):
+            xi = simple(*points)
+            kern = ker.rw_kernel(xi)
+            chi = fred.SiteChi(((-2 + o, 0.4), (0 + o, -0.5), (2 + o, 0.25), (4 + o, -0.3)))
+            spec = fred.TestFunctionSpec((2,), (chi,))
 
-        def F(p):
-            return np.prod(1.0 + chi(p[:, 0, :]), axis=1)
+            def F(p, chi=chi):
+                return np.prod(1.0 + chi(p[:, 0, :]), axis=1)
 
-        _, exact = sim.brute_force_rw(xi, F, [2], T=2)
-        got = fred.finite_rank_det(kern, spec)
-        assert got == pytest.approx(exact, abs=1e-12)
-        series = fred.fredholm_series(kern, spec)
-        assert series == pytest.approx(exact, abs=1e-12)
+            _, exact = sim.brute_force_rw(xi, F, [2], T=2)
+            got = fred.finite_rank_det(kern, spec)
+            assert got == pytest.approx(exact, abs=1e-12)
+            series = fred.fredholm_series(kern, spec)
+            assert series == pytest.approx(exact, abs=1e-12)
+
+            def F2(p, chi=chi):
+                return np.prod(1.0 + chi(p), axis=(1, 2))
+
+            _, exact2 = sim.brute_force_rw(xi, F2, [2, 4])
+            series2 = fred.fredholm_series(kern, fred.TestFunctionSpec((2, 4), (chi, chi)))
+            assert series2 == pytest.approx(exact2, abs=1e-10)
 
 
 class TestMultiTime:

@@ -253,7 +253,7 @@ class TestTwoTimeTransform:
 def walk_companions(times, n_paths, seed):
     """Y(t) = W(C(t)) at ``times`` for n_paths walkers, drawn by
     ``attach_companions``, as an array (paths, times)."""
-    ens = sim.PathEnsemble(rw(), tuple(times), np.zeros((n_paths, len(times), 1)), seed=0)
+    ens = sim.PathEnsemble(rw(), tuple(times), np.zeros((n_paths, len(times), 1)))
     return sim.attach_companions(ens, seed).companions[:, :, 0]
 
 
@@ -298,7 +298,7 @@ class TestCtime:
 
     @pytest.mark.parametrize("t", [-1.0, 0.5, 1.5, math.nan, math.inf])
     def test_rejects_non_integer_time(self, t):
-        ens = sim.PathEnsemble(rw(), (t,), np.zeros((10, 1, 1)), seed=0)
+        ens = sim.PathEnsemble(rw(), (t,), np.zeros((10, 1, 1)))
         with pytest.raises(DomainError):
             sim.attach_companions(ens, 104)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmart import configurations as cfg
+from detmart import fredholm as fred
 from detmart import kernels as ker
 from detmart import martingales as mart
 from detmart import simulate as sim
@@ -368,6 +369,85 @@ class TestStartChecks:
         assert ens.paths.shape == (100, 1, 2)
 
 
+def _walk_spec(ts):
+    return fred.TestFunctionSpec(ts, (fred.SiteChi(((0, 0.5),)),) * len(ts))
+
+
+# every entry point that takes a time axis, and whether it runs the walk
+# (which also refuses a fractional time)
+TIME_AXIS_ENTRIES = {
+    "sample_free": (lambda ts: sim.sample_free(rw(), [0.0, 2.0], ts, 10, 1), True),
+    "sample_noncolliding": (
+        lambda ts: sim.sample_noncolliding(bm(), simple(0.0, 2.0), ts, 0.01, 10, 1), False
+    ),
+    "sample_noncolliding_rw": (
+        lambda ts: sim.sample_noncolliding_rw(simple(0.0, 2.0), ts, 10, 1), True
+    ),
+    "dmr_expectation": (
+        lambda ts: sim.dmr_expectation(rw(), simple(0.0, 2.0), ones, ts, 10, 1), True
+    ),
+    "cpr_expectation": (
+        lambda ts: sim.cpr_expectation(rw(), simple(0.0, 2.0), ones, ts, 10, 1), True
+    ),
+    "brute_force_rw": (lambda ts: sim.brute_force_rw(simple(0.0, 2.0), ones, ts), True),
+    "mgf_monte_carlo": (
+        lambda ts: fred.mgf_monte_carlo(rw(), simple(0.0, 2.0), _walk_spec(ts), 10, 1), True
+    ),
+    "SpaceTimeQuery": (lambda ts: ker.SpaceTimeQuery(ts, ((0.5,),) * len(ts)), False),
+    "TestFunctionSpec": (_walk_spec, False),
+    "fredholm_series": (
+        lambda ts: fred.fredholm_series(ker.rw_kernel(simple(0.0, 2.0)), _walk_spec(ts)), True
+    ),
+}
+BAD_AXES = [[], [math.inf], [math.nan], [2.0, 1.0], [-1.0]]
+
+
+class TestTimeChecks:
+    @pytest.mark.parametrize(
+        "name, ts",
+        [(name, ts) for name, (_, walk) in TIME_AXIS_ENTRIES.items()
+         for ts in BAD_AXES + [[2.5]] * walk],
+        ids=str,
+    )
+    def test_bad_axis_refused(self, name, ts):
+        with pytest.raises(DomainError):
+            TIME_AXIS_ENTRIES[name][0](ts)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 2.5])
+    def test_walk_kernel_grid_refuses_bad_time(self, bad):
+        # it returned zeros here
+        kern = ker.rw_kernel(simple(0.0, 2.0))
+        for s, t in ((bad, 2), (2, bad)):
+            with pytest.raises(DomainError):
+                ker.kernel_eval_grid(kern, s, [0.0, 1.0], t, [0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "process, T", [(rw(), 3.5), (rw(), math.inf), (rw(), math.nan),
+                       (bm(), math.inf), (bm(), math.nan)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("estimator", [sim.dmr_expectation, sim.cpr_expectation])
+    def test_bad_horizon_refused(self, estimator, process, T):
+        # a walk horizon of 3.5 used to be rounded, inf to overflow and a
+        # BM horizon of nan to become the last time
+        with pytest.raises(DomainError):
+            estimator(process, simple(0.0, 2.0), ones, [2], 10, 1, T=T)
+
+    @pytest.mark.parametrize("T", [3.5, math.inf, math.nan])
+    def test_enumeration_horizon_refused(self, T):
+        # 3.5 used to be truncated to 3
+        with pytest.raises(DomainError):
+            sim.brute_force_rw(simple(0.0, 2.0), ones, [2], T=T)
+
+    def test_enumeration_observes_time_zero(self):
+        # time 0 is the start, not the position at the horizon
+        def first(p):
+            return p[:, 0, 0]
+
+        assert sim.brute_force_rw(simple(0.0, 2.0), first, [0, 2]) == (0.0, 0.0)
+        assert sim.brute_force_rw(simple(0.0, 2.0), first, [0]) == (0.0, 0.0)
+
+
 class TestSortParticles:
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -469,20 +549,22 @@ class TestNoncollidingRw:
             assert abs(total - 1.0) <= 1e-12
 
     def test_marginal_matches_enumeration(self):
-        xi = simple(0.0, 2.0)
-        ens = sim.sample_noncolliding_rw(xi, [2], 100_000, seed=22)
+        # from even and from odd starts, offset o
         states = [(-2, 0), (-2, 2), (-2, 4), (0, 2), (0, 4), (2, 4)]
-        for a, b in states:
+        for o in (0, 1):
+            xi = simple(0.0 + o, 2.0 + o)
+            ens = sim.sample_noncolliding_rw(xi, [2], 100_000, seed=22 + o)
+            for a, b in ((a + o, b + o) for a, b in states):
 
-            def F(p, a=a, b=b):
-                return ((p[:, 0, 0] == a) & (p[:, 0, 1] == b)).astype(float)
+                def F(p, a=a, b=b):
+                    return ((p[:, 0, 0] == a) & (p[:, 0, 1] == b)).astype(float)
 
-            _, exact = sim.brute_force_rw(xi, F, [2], T=2)
-            freq = float(
-                ((ens.paths[:, 0, 0] == a) & (ens.paths[:, 0, 1] == b)).mean()
-            )
-            se = math.sqrt(max(exact * (1 - exact), 1e-12) / ens.n_paths)
-            assert abs(freq - exact) <= 4 * se + 1e-6
+                _, exact = sim.brute_force_rw(xi, F, [2], T=2)
+                freq = float(
+                    ((ens.paths[:, 0, 0] == a) & (ens.paths[:, 0, 1] == b)).mean()
+                )
+                se = math.sqrt(max(exact * (1 - exact), 1e-12) / ens.n_paths)
+                assert abs(freq - exact) <= 4 * se + 1e-6
 
 
 class TestNoncollidingDiffusion:

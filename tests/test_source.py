@@ -5,7 +5,9 @@ reaches, no function-local name that is assigned and never read, no
 function parameter that is never read, no ``__all__`` entry that its
 module neither defines nor imports, and no reader or writer of the
 detmart/1 config (``from_dict``, ``to_dict``, ``*_from_dict``) outside
-``cli.py``, the one module that reads the schema.
+``cli.py``, the one module that reads the schema, and no refusal of a time
+axis or a walk start outside ``processes.py``, the one module that decides
+which times and starts a process admits.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -226,5 +228,36 @@ def test_config_schema_read_in_cli_only():
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and (node.name in ("from_dict", "to_dict") or node.name.endswith("_from_dict"))
+    ]
+    assert not stray, stray
+
+
+_TIME_AND_START_RULES = ("times must", "walk times", "walk starts")
+
+
+def _domain_error_messages(tree):
+    """(line, leading literal text) of each ``DomainError(...)`` raised in
+    ``tree``; for an f-string, the text before its first field."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        call = node.exc
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name != "DomainError" or not call.args:
+            continue
+        msg = call.args[0]
+        if isinstance(msg, ast.JoinedStr) and msg.values:
+            msg = msg.values[0]
+        if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+            yield node.lineno, msg.value
+
+
+def test_time_and_start_rules_in_processes_only():
+    stray = [
+        f"{name}:{line} raises DomainError({text!r})"
+        for name, tree in TREES.items()
+        if name != "processes.py"
+        for line, text in _domain_error_messages(tree)
+        if text.startswith(_TIME_AND_START_RULES)
     ]
     assert not stray, stray
