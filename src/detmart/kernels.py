@@ -144,6 +144,8 @@ class SpaceTimeQuery:
         object.__setattr__(self, "points", ps)
         if len(ts) != len(ps):
             raise DomainError("times and point lists must align")
+        if not all(math.isfinite(x) for row in ps for x in row):
+            raise DomainError("query points must be finite")
         if any(t <= 0 for t in ts):
             raise DomainError("query times must be positive")
         if sum(len(row) for row in ps) > 64:
@@ -197,10 +199,13 @@ def kernel_eval_grid(
     """Matrix of kernel values over xs x ys at a fixed time pair."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    v = kern.variant
+    if v == "rw":
+        check_times(kern.process, (s,))
+        check_times(kern.process, (t,))
     if xs.size == 0 or ys.size == 0:
         return np.zeros((xs.size, ys.size))
     x, y = xs[:, None], ys[None, :]
-    v = kern.variant
     if v == "extended_hermite":
         return kernel_extended_hermite(kern.size, s, x, t, y)
     if v == "extended_laguerre":
@@ -214,8 +219,6 @@ def kernel_eval_grid(
     proc, xi = kern.process, kern.xi
     mask = None
     if v == "rw":
-        check_times(proc, (s,))
-        check_times(proc, (t,))
         # every start has the parity of the first
         u0 = xi.support()[0]
         mask = np.outer(_rw_parity_ok(s, xs - u0), _rw_parity_ok(t, ys - u0))

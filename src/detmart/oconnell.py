@@ -8,10 +8,10 @@ Gamma-function ratios
 
 which interpolate between the stochastic Toda world (a > 0) and the
 noncolliding Brownian motion (a -> 0, the combinatorial limit).  The
-expectation of the softened indicator of the lowest particle admits both a
-complex-path and a real-path (quadrature transform) Monte Carlo
-representation; both are implemented here, together with the plain
-noncolliding reference obtained through the reciprocal time relation.
+expectation of the softened indicator of the lowest particle is a
+determinantal-martingale representation with Phi^{u,a} in place of Phi^u,
+run on complex or real paths by the estimator body of ``simulate``; the
+plain noncolliding reference comes through the reciprocal time relation.
 """
 
 from __future__ import annotations
@@ -151,44 +151,39 @@ def _lift_weight(params: LiftParams, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _indicator_estimate(params: LiftParams, n_paths, seed, workers, weight_fn):
+    """E[prod_j 1(V_j(1/t) >= h/t) * weight] over BM from the drifts; the
+    weight is taken on the rows with the indicator on."""
+    threshold = params.h / params.t
+
+    def indicator(paths):
+        return (paths[:, 0, :] >= threshold).all(axis=1)
+
+    return simulate._representation_estimate(
+        bm(), params.nu_hat, indicator, (1.0 / params.t,), n_paths, seed, None,
+        workers, weight_fn,
+    )
+
+
 def oconnell_theta_cpr(
     params: LiftParams, n_paths: int, seed: int, workers: int = 1
 ) -> simulate.Estimate:
     """Complex-path estimate of the softened-step expectation.
 
     E[prod_j 1(Re Z_j(1/t) >= h/t) det Phi^{nu_k,a}(Z_j(1/t))] with
-    Z_j = nu_j + B_j + i W_j.  Paths within pole tolerance are rejected
-    and counted; more than 0.01% rejections fails the run.  Of the paths
-    kept, only those with the indicator on are weighted; the rest are 0.
+    Z_j = nu_j + B_j + i W_j, W the companions of ``cpr_expectation``.
+    Only the paths with the indicator on are weighted; the rest are 0.
+    A weighted path within 1e-8 of a pole raises NumericError.
     """
-    sup = np.array(params.nu_hat.support())
-    n = len(sup)
-    tinv = 1.0 / params.t
-    threshold = params.h / params.t
+    sup = params.nu_hat.support()
 
-    def one_block(block, size):
-        rng = simulate.stream(seed, block)
-        real = sup + math.sqrt(tinv) * rng.standard_normal((size, n))
-        imag = math.sqrt(tinv) * rng.standard_normal((size, n))
-        z = real + 1j * imag
-        keep = np.ones(size, dtype=bool)
-        for u in sup:
-            keep &= (pole_distance(u, params.a, z) >= _POLE_TOL).all(axis=1)
-        z = z[keep]
-        on = (z.real >= threshold).all(axis=1)
-        values = np.zeros(len(z), dtype=complex)
-        if on.any():
-            values[on] = _lift_weight(params, z[on])
-        return values
+    def weight(block, paths, grid, kept):
+        z = simulate._complex_ends(bm(), seed, block, paths, grid, kept)
+        if any((pole_distance(u, params.a, z) < _POLE_TOL).any() for u in sup):
+            raise NumericError("a weighted path fell within 1e-8 of a pole of the lift")
+        return _lift_weight(params, z)
 
-    values = simulate._run_blocks(n_paths, workers, one_block)
-    rejected = n_paths - len(values)
-    if rejected > 1e-4 * n_paths:
-        raise NumericError(
-            f"{rejected} of {n_paths} paths fell on the pole ladder; "
-            "the lift scale is too coarse"
-        )
-    return simulate.Estimate.from_samples(values)
+    return _indicator_estimate(params, n_paths, seed, workers, weight)
 
 
 # the Gauss-Hermite order of the transform, checked against half as many
@@ -262,10 +257,7 @@ def oconnell_theta_dmr(
             "need at least 3 (decrease a or increase t)"
         )
     sup = np.array(params.nu_hat.support())
-    n = len(sup)
-    tinv = 1.0 / params.t
-    sigma = math.sqrt(tinv)
-    threshold = params.h / params.t
+    sigma = math.sqrt(1.0 / params.t)
     probe = np.concatenate([sup + d for d in (-3 * sigma, 0.0, 3 * sigma)])
     low = _lift_transform(params, probe, _QUAD_ORDER // 2)
     high = _lift_transform(params, probe, _QUAD_ORDER)
@@ -281,22 +273,13 @@ def oconnell_theta_dmr(
     if lo - first_pole > 1.5 * sigma:
         table = _TransformTable(params, lo, hi)
 
-    def one_block(block, size):
-        rng = simulate.stream(seed, block)
-        real = sup + sigma * rng.standard_normal((size, n))
-        on = (real >= threshold).all(axis=1)
-        values = np.zeros(size, dtype=complex)
-        if on.any():
-            rows = real[on]
-            if table is not None and rows.min() > lo and rows.max() < hi:
-                mat = table(rows)
-            else:
-                mat = _lift_transform(params, rows, _QUAD_ORDER)
-            values[on] = np.linalg.det(mat)
-        return values
+    def weight(_block, paths, _grid, kept):
+        rows = paths[kept, -1, :]
+        if table is not None and ((rows > lo) & (rows < hi)).all():
+            return np.linalg.det(table(rows))
+        return np.linalg.det(_lift_transform(params, rows, _QUAD_ORDER))
 
-    values = simulate._run_blocks(n_paths, workers, one_block)
-    return simulate.Estimate.from_samples(values)
+    return _indicator_estimate(params, n_paths, seed, workers, weight)
 
 
 def reciprocal_reference(

@@ -16,12 +16,13 @@ and BES(nu) its square root at noncentrality x^2 / dt; the walk adds
 
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
-blocks are distributed over workers.  Every block loop (the samplers, the
-estimators, ``reducibility_check`` and the O'Connell estimators) is
-``_run_blocks``.  The imaginary companions of a block come from one loop,
-``_companion_block``, on a stream of their own: keyed by (seed2, block) in
-``attach_companions`` (the CLI passes seed + 1) and by
-(seed ^ 0x9E3779B97F4A7C15, block) in ``cpr_expectation``.  Each
+blocks are distributed over workers.  Every block loop is ``_run_blocks``;
+every estimator (DMR, CPR, ``reducibility_check``, both O'Connell routes)
+runs the block body of ``_representation_estimate``.  The imaginary
+companions of a block come from one loop, ``_companion_block``, on a
+stream of their own: keyed by (seed2, block) in ``attach_companions`` (the
+CLI passes seed + 1) and by (seed ^ 0x9E3779B97F4A7C15, block) in
+``_complex_ends``, for ``cpr_expectation`` and the O'Connell CPR.  Each
 transition draws a fixed number of variates per coordinate from that
 stream: one normal for BM/BES, and for the walk one uniform per unit of
 time (a hyperbolic-secant variate, see ``_companion_block``).
@@ -330,7 +331,8 @@ def _representation_estimate(
     process, xi, observable, times, n_paths, seed, T, workers, weight_fn
 ) -> Estimate:
     """Mean of F(sorted free paths) * weight over blocks of free paths from
-    the support of xi; ``weight_fn(block, paths, grid)`` weighs the paths
+    the support of xi, 0 where F is 0; ``weight_fn(block, paths, grid,
+    kept)`` weighs the rows ``kept`` where F is nonzero of the paths
     observed at ``grid``, whose last entry is the horizon."""
     if not xi.simple():
         raise DomainError("representation estimators need a simple configuration")
@@ -339,12 +341,26 @@ def _representation_estimate(
 
     def one_block(block, size):
         paths = _sample_free_block(process, u, grid, size, stream(seed, block))
-        weights = weight_fn(block, paths, grid)
         sorted_paths = _sort_particles(paths[:, : len(ts), :])
         obs = np.asarray(observable(sorted_paths), dtype=float)
-        return obs * weights
+        # the rows where F is nonzero; all of them as a slice, which copies none
+        kept = slice(None) if obs.all() else np.flatnonzero(obs)
+        weights = weight_fn(block, paths, grid, kept)
+        values = np.zeros(size, dtype=np.result_type(obs, weights))
+        values[kept] = obs[kept] * weights
+        return values
 
     return Estimate.from_samples(_run_blocks(n_paths, workers, one_block))
+
+
+def _complex_ends(process, seed, block, paths, grid, kept):
+    """Z(T) = V(T) + i W(T) on the rows ``kept`` of a block of free paths,
+    W the block's companions on the stream keyed by (seed ^ _COMPANION_KEY,
+    block); the whole block is drawn, so a row's Z does not depend on kept."""
+    size, _, n_particles = paths.shape
+    rng = stream(seed ^ _COMPANION_KEY, block)
+    comp = _companion_block(process, grid, size, n_particles, rng)
+    return paths[kept, -1, :] + 1j * comp[kept, -1, :]
 
 
 def dmr_expectation(
@@ -367,8 +383,8 @@ def dmr_expectation(
             f"representation estimators support at most {MAX_PARTICLES} particles"
         )
 
-    def weight(_block, paths, grid):
-        return det_weight(process, xi, grid[-1], paths[:, -1, :])
+    def weight(_block, paths, grid, kept):
+        return det_weight(process, xi, grid[-1], paths[kept, -1, :])
 
     return _representation_estimate(
         process, xi, observable, times, n_paths, seed, T, workers, weight
@@ -390,11 +406,8 @@ def cpr_expectation(
     if process.tag not in ("BM", "RW", "BES"):
         raise DomainError(f"no complex representation for {process}")
 
-    def weight(block, paths, grid):
-        size, _, n_particles = paths.shape
-        rng = stream(seed ^ _COMPANION_KEY, block)
-        comp = _companion_block(process, grid, size, n_particles, rng)
-        z_end = paths[:, -1, :] + 1j * comp[:, -1, :]
+    def weight(block, paths, grid, kept):
+        z_end = _complex_ends(process, seed, block, paths, grid, kept)
         return cpr_weight(process, xi, grid[-1], z_end)
 
     return _representation_estimate(
@@ -638,8 +651,8 @@ def reducibility_check(
     for si, subset in enumerate(itertools.combinations(range(n), n_prime)):
         cmat = cmat_full[:, list(subset)]
 
-        def weight(_block, paths, grid):
-            mvals = mart.poly_values(process, n - 1, grid[-1], paths[:, -1, :])
+        def weight(_block, paths, grid, kept):
+            mvals = mart.poly_values(process, n - 1, grid[-1], paths[kept, -1, :])
             return np.linalg.det(mvals @ cmat)
 
         est = _representation_estimate(

@@ -650,6 +650,8 @@ BAD_INPUTS = [
     ("kernel", "grid.s", [2.5], _WALK_KERNEL),
     ("kernel", "grid.s", [-1], _WALK_KERNEL),
     ("kernel", "grid.t", [2.5], _WALK_KERNEL),
+    # the walk times are checked before an empty axis returns no cells
+    ("kernel", "grid.s", [2.5], {**_WALK_KERNEL, "grid": {"s": [2], "x": [], "t": [2], "y": [0.0]}}),
     # dt is validated for every oconnell route; cpr and dmr ignored it
     ("oconnell", "dt", "x", {"route": "cpr"}),
     ("oconnell", "dt", 0, {"route": "cpr"}),

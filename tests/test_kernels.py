@@ -412,6 +412,13 @@ class TestCorrelation:
             val = ker.correlation(k, ker.SpaceTimeQuery((t,), (pts,)))
             assert val >= -1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ker.SpaceTimeQuery((1.0,), ((bad,),))
+        with pytest.raises(DomainError, match="finite"):
+            ker.SpaceTimeQuery((0.5, 1.0), ((0.0,), (1.0, bad)))
+
 
 class TestGUE:
     def test_single_particle_gaussian(self):

@@ -172,6 +172,13 @@ class TestEdgeCases:
             assert est.mean == 0
             assert est.n == 5000
 
+    def test_pole_path_raises(self, monkeypatch):
+        # a weighted path within the pole tolerance fails the run
+        monkeypatch.setattr(oc, "_POLE_TOL", 100.0)
+        params = oc.LiftParams(a=0.1, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
+        with pytest.raises(NumericError, match="pole"):
+            oc.oconnell_theta_cpr(params, 1000, seed=85)
+
     def test_workers_do_not_change_estimates(self):
         params = oc.LiftParams(a=0.1, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
         n_paths = 2 * sim.BLOCK + 37
@@ -261,6 +268,22 @@ class TestReference:
         a = sim.cpr_expectation(bm(), nu_hat, F, [1.0 / t], 100_000, seed=70)
         b = oc.reciprocal_reference(nu_hat, t, h, 60_000, seed=71)
         assert abs(a.mean.real - b.mean) <= 4 * a.combined_se(b)
+
+    @pytest.mark.parametrize("t, h", [(1.0, 0.0), (0.8, 0.3)])
+    def test_small_lift_is_the_plain_cpr_estimate(self, t, h):
+        # the lifted CPR is the complex representation at time 1/t with
+        # Phi^{u,a} in place of Phi^u: same paths, same companions, and a
+        # weight that differs by O(a)
+        nu_hat = drifts(-1.0, 1.0)
+        params = oc.LiftParams(a=1e-6, nu_hat=nu_hat, t=t, h=h)
+
+        def F(p):
+            return (p[:, 0, :] >= h / t).all(axis=1).astype(float)
+
+        lifted = oc.oconnell_theta_cpr(params, 20_000, seed=72)
+        plain = sim.cpr_expectation(bm(), nu_hat, F, [1.0 / t], 20_000, seed=72)
+        assert abs(lifted.mean - plain.mean) <= 1e-5
+        assert lifted.n == plain.n
 
     def test_small_lift_matches_reference(self):
         nu_hat = drifts(-1.0, 1.0)

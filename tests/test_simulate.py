@@ -806,3 +806,19 @@ class TestBlockEngine:
     def test_no_paths_refused(self, name):
         with pytest.raises(DomainError):
             {**SAMPLERS, **ESTIMATORS}[name](0)
+
+    def test_only_kept_rows_are_weighted(self):
+        # the estimator weighs the rows where the observable is nonzero and
+        # sets the others to 0: the same estimate as weighing every path
+        xi = simple(-1.0, 0.5, 2.0)
+        n = sim.BLOCK + 123
+
+        def F(p):
+            return (p[:, -1, :] >= 0.0).all(axis=1).astype(float)
+
+        got = sim.dmr_expectation(bm(), xi, F, [0.3, 0.8], n, seed=41)
+        ens = sim.sample_free(bm(), xi.support(), [0.3, 0.8], n, seed=41)
+        weights = sim.det_weight(bm(), xi, 0.8, ens.paths[:, -1, :])
+        obs = F(np.sort(ens.paths, axis=-1))
+        assert 0 < obs.sum() < n
+        assert got == sim.Estimate.from_samples(obs * weights)

@@ -7,7 +7,9 @@ module neither defines nor imports, and no reader or writer of the
 detmart/1 config (``from_dict``, ``to_dict``, ``*_from_dict``) outside
 ``cli.py``, the one module that reads the schema, and no refusal of a time
 axis or a walk start outside ``processes.py``, the one module that decides
-which times and starts a process admits.
+which times and starts a process admits, and no path stream or block loop
+(``stream``, ``_run_blocks``) outside ``simulate.py``, whose estimator body
+every Monte Carlo route runs through.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -259,5 +261,15 @@ def test_time_and_start_rules_in_processes_only():
         if name != "processes.py"
         for line, text in _domain_error_messages(tree)
         if text.startswith(_TIME_AND_START_RULES)
+    ]
+    assert not stray, stray
+
+
+def test_streams_and_block_loops_in_simulate_only():
+    stray = [
+        f"{name} references {ref}"
+        for name, tree in TREES.items()
+        if name != "simulate.py"
+        for ref in sorted(_used_names(tree) & {"stream", "_run_blocks"})
     ]
     assert not stray, stray
