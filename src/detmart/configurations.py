@@ -251,22 +251,46 @@ def besselzero_config(nu: float, count: int) -> PointConfiguration:
 # --------------------------------------------------------------------------
 
 
-def det_longdouble(mat: np.ndarray) -> float:
-    """Determinant by partial-pivoted elimination in extended precision."""
-    a = mat.astype(np.longdouble).copy()
-    n = a.shape[0]
-    det = np.longdouble(1.0)
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            return 0.0
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        for row in range(col + 1, n):
-            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
-    return float(det)
+def stacked_det(a) -> np.ndarray:
+    """Determinants of a stack of square matrices (..., n, n), shape (...).
+
+    Partial-pivoted elimination run on every matrix of the stack at once; a
+    floating or complex dtype is kept (longdouble stays longdouble), anything
+    else becomes float.  A zero pivot, hence a singular matrix, gives 0.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    n = a.shape[-1]
+    lead = a.shape[:-2]
+    # the stack axis last, so that every entry is one contiguous vector
+    a = a.reshape((-1, n, n)).transpose(1, 2, 0).copy()
+    m = a.shape[-1]
+    flat = a.reshape(-1)
+    # flat offsets of row 0 of every matrix; row r adds r * n * m
+    row0 = np.arange(n)[:, None] * m + np.arange(m)
+    det = np.ones(m, dtype=a.dtype)
+    odd = np.zeros(m, dtype=bool)
+    for col in range(n - 1):
+        # the first row of largest magnitude in column col, as argmax picks
+        # it (NaN aside): the count of running maxima below the overall one
+        running = np.maximum.accumulate(np.abs(a[col:, col]), axis=0)
+        pivot = (running < running[-1]).sum(axis=0)
+        # swap it into row col, from column col on
+        dst = row0[col:] + col * n * m
+        src = dst + pivot * (n * m)
+        top = flat[dst]
+        flat[dst] = flat[src]
+        flat[src] = top
+        odd ^= pivot > 0
+        p = a[col, col]
+        det *= p
+        # below a zero pivot the column is zero: divide by 1 and leave it
+        factor = a[col + 1 :, col] / (p + (p == 0))
+        a[col + 1 :, col + 1 :] -= factor[:, None] * a[col, col + 1 :]
+    det *= a[n - 1, n - 1]
+    # each swap flips the sign; negation is exact, so it may come last
+    return np.where(odd, -det, det).reshape(lead)
 
 
 def det_phi_identity_check(xi: PointConfiguration, x: Sequence[float]):
@@ -285,12 +309,11 @@ def det_phi_identity_check(xi: PointConfiguration, x: Sequence[float]):
     ul = np.asarray(u, dtype=np.longdouble)
     n = len(u)
     lhs = float(vandermonde(xl) / vandermonde(ul))
-    mat = np.empty((n, n), dtype=np.longdouble)
-    for k in range(n):
-        col = np.ones(n, dtype=np.longdouble)
-        for r in range(n):
-            if r != k:
-                col *= (xl - ul[r]) / (ul[k] - ul[r])
-        mat[:, k] = col
-    rhs = det_longdouble(mat)
+    # mat[j, k] = prod_{r != k} (x_j - u_r) / (u_k - u_r), a product in
+    # the order of r with the factor r = k set to 1
+    off = ~np.eye(n, dtype=bool)
+    den = np.where(off, ul[:, None] - ul[None, :], 1.0)
+    ratio = (xl[:, None, None] - ul[None, None, :]) / den
+    mat = np.where(off, ratio, 1.0).prod(axis=-1)
+    rhs = float(stacked_det(mat))
     return lhs, rhs, abs(lhs - rhs)

@@ -63,7 +63,7 @@ __all__ = [
 
 # absolute tolerance of the adaptive quadrature behind the sine and Bessel
 # kernels; the image sums of the lattice and Bessel-zero kernels integrate
-# each image to _IMAGE_TOL
+# all images as one vector-valued integrand, each image to _IMAGE_TOL
 QUADRATURE_TOL = 1e-10
 _IMAGE_TOL = 1e-11
 
@@ -224,10 +224,7 @@ def kernel_eval_grid(
         mask = np.outer(_rw_parity_ok(s, xs - u0), _rw_parity_ok(t, ys - u0))
         if not mask.any():
             return np.zeros(mask.shape)
-    sup = xi.support()
-    pvals = np.stack(
-        [specfun.transition_density(proc, s, xs, u) for u in sup], axis=-1
-    )  # (nx, N)
+    pvals = specfun.transition_density(proc, s, xs[:, None], np.array(xi.support()))
     if v == "multipoint":
         cmat = np.stack(
             [_twotime_coeff_matrix(proc, xi, float(s), float(xv)) for xv in xs]
@@ -440,18 +437,6 @@ def gue_density(size: int, t: float, x) -> float:
 # --------------------------------------------------------------------------
 
 
-def _lattice_image_term(j: int, sp: float, x: float, tp: float, y: float):
-    # (1/2pi) int_{-pi}^{pi} exp((tp l^2 - sp (l + 2 pi j)^2)/2)
-    #                        cos(l (y - x) - 2 pi j x) dl
-    def f(lam):
-        expo = 0.5 * (tp * lam * lam - sp * (lam + 2.0 * math.pi * j) ** 2)
-        return np.exp(expo) * np.cos(lam * (y - x) - 2.0 * math.pi * j * x)
-
-    return quadrature.adaptive_gauss_legendre(f, -math.pi, math.pi, _IMAGE_TOL) / (
-        2.0 * math.pi
-    )
-
-
 def _auto_images(s: float, unit: float) -> int:
     # image m contributes at most exp(-s * unit^2 (2m - 1)^2 / 2); pick the
     # count that pushes the first dropped image below 1e-18
@@ -470,9 +455,16 @@ def lattice_kernel(
     """
     if images is None:
         images = _auto_images(s, 2.0 * math.pi)
-    acc = 0.0
-    for j in range(-images, images + 1):
-        acc += _lattice_image_term(j, s, x, t, y)
+    j = np.arange(-images, images + 1)[:, None]
+
+    # image j: (1/2pi) int_{-pi}^{pi} exp((t l^2 - s (l + 2 pi j)^2) / 2)
+    #                                 cos(l (y - x) - 2 pi j x) dl
+    def f(lam):
+        expo = 0.5 * (t * lam * lam - s * (lam + 2.0 * math.pi * j) ** 2)
+        return np.exp(expo) * np.cos(lam * (y - x) - 2.0 * math.pi * j * x)
+
+    terms = quadrature.adaptive_gauss_legendre(f, -math.pi, math.pi, _IMAGE_TOL)
+    acc = float(np.sum(terms)) / (2.0 * math.pi)
     if s > t:
         acc -= specfun.transition_density(bm(), s - t, x, y)
     return acc
@@ -496,15 +488,14 @@ def besselzero_kernel_half(
     if images is None:
         images = _auto_images(s, 1.0)
     sx, sy = math.sqrt(x), math.sqrt(y)
-    acc = 0.0
-    for m in range(-images, images + 1):
+    m = np.arange(-images, images + 1)[:, None]
 
-        def f(mu, m=m):
-            shift = mu - 2.0 * m
-            expo = 0.5 * (t * mu * mu - s * shift * shift)
-            return np.exp(expo) * np.sin(mu * sy) * np.sin(sx * shift)
+    def f(mu):
+        shift = mu - 2.0 * m
+        expo = 0.5 * (t * mu * mu - s * shift * shift)
+        return np.exp(expo) * np.sin(mu * sy) * np.sin(sx * shift)
 
-        acc += quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _IMAGE_TOL)
+    acc = float(np.sum(quadrature.adaptive_gauss_legendre(f, 0.0, 1.0, _IMAGE_TOL)))
     acc /= math.pi * sy
     if s > t:
         acc -= specfun.transition_density(besq(0.5), s - t, x, y)

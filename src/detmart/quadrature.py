@@ -60,12 +60,6 @@ def gauss_laguerre_general(alpha: float, n: int):
     return _frozen(vals, weights)
 
 
-def gauss_legendre_panel(f, a: float, b: float, n: int):
-    x, w = gauss_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * np.sum(w * f(mid + half * x), axis=-1)
-
-
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float):
     """Integrate a vectorized callable on [a, b] to absolute tolerance.
 
@@ -74,15 +68,25 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float):
     32/64-point discrepancy of every component fits a budget that shrinks
     sublinearly with panel width, so refinement grades into integrable
     endpoint singularities instead of stalling on them; all components
-    share one panel tree.
+    share one panel tree, and both halves of a bisection take one call of f.
     """
 
     span = abs(b - a)
+    x, w = gauss_legendre(32)
+
+    def panels(centers, halves):
+        # the 32-point rule on each panel (center, half-width), shape (..., panels)
+        c, h = np.array(centers)[:, None], np.array(halves)[:, None]
+        vals = f((c + h * x).ravel())
+        vals = vals.reshape(np.shape(vals)[:-1] + (len(c), len(x)))
+        return h[:, 0] * np.sum(w * vals, axis=-1)
 
     def recurse(lo, hi, coarse, depth):
         mid = 0.5 * (lo + hi)
-        left = gauss_legendre_panel(f, lo, mid, 32)
-        right = gauss_legendre_panel(f, mid, hi, 32)
+        both = panels(
+            [0.5 * (lo + mid), 0.5 * (mid + hi)], [0.5 * (mid - lo), 0.5 * (hi - mid)]
+        )
+        left, right = both[..., 0], both[..., 1]
         err = np.abs(left + right - coarse)
         budget = 0.25 * tol * (abs(hi - lo) / span) ** 0.6
         if np.all(err <= np.maximum(budget, 1e-16 * np.abs(coarse))):
@@ -93,5 +97,5 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float):
 
     if a == b:
         return 0.0
-    out = recurse(a, b, gauss_legendre_panel(f, a, b, 32), 0)
+    out = recurse(a, b, panels([0.5 * (a + b)], [0.5 * (b - a)])[..., 0], 0)
     return float(out) if np.ndim(out) == 0 else out

@@ -570,6 +570,10 @@ def brute_force_rw(
     Returns (free_value, doob_value): the free-path expectation of
     F * det-weight, and the conditioned-walk expectation of F computed by
     the harmonic-transform weighting 1(ordered through T) h(V(T)) / h(u).
+    An observable returning one value per outcome gives a pair of floats;
+    one returning a column per quantity, shape (outcomes, k), gives a pair
+    of length-k arrays, entry i equal to the scalar call whose observable
+    returns column i (as a contiguous array).
     Bounded by 2^(N T) <= 2^24 outcomes.
     """
     if not xi.simple():
@@ -599,9 +603,15 @@ def brute_force_rw(
         fvals = np.asarray(observable(_sort_particles(at_obs)), dtype=float)
         end = pos[:, :, horizon]
         weights = det_weight(rw(), xi, horizon, end)
-        free_acc += float(fvals @ weights)
         ordered = (np.diff(pos, axis=1) > 0).all(axis=(1, 2))
-        doob_acc += float(fvals @ (ordered * cfg.vandermonde(end) / h_u))
+        doob = ordered * cfg.vandermonde(end) / h_u
+        # one dot product per quantity: the scalar F as returned, a column
+        # of a vector F as a contiguous copy (a strided dot rounds otherwise)
+        columns = fvals[None] if fvals.ndim == 1 else np.ascontiguousarray(fvals.T)
+        free_acc += np.array([col @ weights for col in columns])
+        doob_acc += np.array([col @ doob for col in columns])
+    if fvals.ndim == 1:
+        return float(free_acc[0]) / total, float(doob_acc[0]) / total
     return free_acc / total, doob_acc / total
 
 
@@ -652,8 +662,10 @@ def reducibility_check(
         cmat = cmat_full[:, list(subset)]
 
         def weight(_block, paths, grid, kept):
+            # M_xi^{v_k}(t, V_j) of every row as one (rows * n', n) @ (n, n') product
             mvals = mart.poly_values(process, n - 1, grid[-1], paths[kept, -1, :])
-            return np.linalg.det(mvals @ cmat)
+            mats = (mvals.reshape(-1, n) @ cmat).reshape(-1, n_prime, n_prime)
+            return cfg.stacked_det(mats)
 
         est = _representation_estimate(
             process, cfg.PointConfiguration.from_points(u[list(subset)]), observable,

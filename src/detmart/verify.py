@@ -18,6 +18,7 @@ from . import fredholm as fred
 from . import kernels as ker
 from . import martingales as mart
 from . import oconnell as oc
+from . import quadrature
 from . import simulate as sim
 from . import specfun
 from .errors import DomainError
@@ -122,7 +123,7 @@ def _weight_identities(rng) -> list:
         # like (2T)^l l!, and in double the matrix misses by up to 1e-8 here
         xl = x.astype(ld)
         mats = mart.poly_values(proc, n - 1, T, xl) @ cmat
-        got = np.array([cfg.det_longdouble(m) for m in mats])
+        got = cfg.stacked_det(mats)
         want = cfg.vandermonde(xl) / cfg.vandermonde(u.astype(ld))
         worst_real = max(worst_real, float(np.max(np.abs(got / want - 1.0))))
 
@@ -204,60 +205,57 @@ def dmr_rw(seed: int = 3456) -> list:
     xi = _simple(0.0, 2.0)
     rng = np.random.default_rng(seed)
 
-    worst = 0.0
-    for _ in range(10):
-        site_vals = {}
-
-        def F(p, site_vals=site_vals, rng=rng):
-            vals = np.ones(p.shape[0])
+    def random_products(p):
+        # ten columns F_i = prod_{m, j} f_i(m, p[:, m, j]), each f_i drawn
+        # lazily: one uniform per (m, j) column entry, the first draw of a
+        # site kept (the draws a setdefault per entry would make)
+        cols = np.ones((p.shape[0], 10))
+        for i in range(10):
+            site_vals = {}
             for m in range(p.shape[1]):
                 for j in range(p.shape[2]):
-                    keys = p[:, m, j].astype(int)
-                    vals *= np.array(
-                        [
-                            site_vals.setdefault((m, k), rng.uniform(0.1, 1.0))
-                            for k in keys
-                        ]
+                    draws = rng.uniform(0.1, 1.0, size=p.shape[0])
+                    keys, first, inverse = np.unique(
+                        p[:, m, j].astype(int), return_index=True, return_inverse=True
                     )
-            return vals
+                    table = [site_vals.setdefault((m, k), draws[f])
+                             for k, f in zip(keys, first)]
+                    cols[:, i] *= np.array(table)[inverse]
+        return cols
 
-        free, doob = sim.brute_force_rw(xi, F, [2, 4], T=4)
-        worst = max(worst, abs(free - doob))
+    free, doob = sim.brute_force_rw(xi, random_products, [2, 4], T=4)
+    worst = float(np.max(np.abs(free - doob)))
     out.append(_check("free weighted mean equals conditioned mean (10 F)", worst, 1e-12))
 
+    # every site, site pair and two-time pair is one column of one enumeration
     kern = ker.rw_kernel(xi)
     worst = 0.0
     for t in (2, 4):
-        sites = range(-t, t + 3)
-        for x in sites:
+        sites = np.arange(-t, t + 3)
+        pairs = list(itertools.combinations(range(len(sites)), 2))
 
-            def F1(p, x=x):
-                return (p == x).any(axis=2)[:, 0].astype(float)
+        def hits(p, sites=sites, pairs=pairs):
+            hit = (p[:, 0, :, None] == sites).any(axis=1)
+            both = [hit[:, a] & hit[:, b] for a, b in pairs]
+            return np.column_stack([hit, *both]).astype(float)
 
-            _, exact = sim.brute_force_rw(xi, F1, [t], T=t)
-            got = ker.correlation(kern, ker.SpaceTimeQuery((t,), ((x,),)))
-            worst = max(worst, abs(got - exact))
-        for x, xp in itertools.combinations(sites, 2):
+        _, exact = sim.brute_force_rw(xi, hits, [t], T=t)
+        points = [(x,) for x in sites] + [(sites[a], sites[b]) for a, b in pairs]
+        for pts, want in zip(points, exact):
+            got = ker.correlation(kern, ker.SpaceTimeQuery((t,), (pts,)))
+            worst = max(worst, abs(got - want))
+    grid = list(itertools.product(range(-2, 5), range(-4, 7)))
 
-            def F2(p, x=x, xp=xp):
-                return (
-                    (p == x).any(axis=2)[:, 0] & (p == xp).any(axis=2)[:, 0]
-                ).astype(float)
+    def two_time_hits(p):
+        at2, at4 = p[:, 0, :], p[:, 1, :]
+        return np.column_stack(
+            [(at2 == x).any(axis=1) & (at4 == y).any(axis=1) for x, y in grid]
+        ).astype(float)
 
-            _, exact = sim.brute_force_rw(xi, F2, [t], T=t)
-            got = ker.correlation(kern, ker.SpaceTimeQuery((t,), ((x, xp),)))
-            worst = max(worst, abs(got - exact))
-    for x in range(-2, 5):
-        for y in range(-4, 7):
-
-            def F12(p, x=x, y=y):
-                return (
-                    (p[:, 0, :] == x).any(axis=1) & (p[:, 1, :] == y).any(axis=1)
-                ).astype(float)
-
-            _, exact = sim.brute_force_rw(xi, F12, [2, 4], T=4)
-            got = ker.correlation(kern, ker.SpaceTimeQuery((2, 4), ((x,), (y,))))
-            worst = max(worst, abs(got - exact))
+    _, exact = sim.brute_force_rw(xi, two_time_hits, [2, 4], T=4)
+    for (x, y), want in zip(grid, exact):
+        got = ker.correlation(kern, ker.SpaceTimeQuery((2, 4), ((x,), (y,))))
+        worst = max(worst, abs(got - want))
     out.append(_check("kernel correlations equal enumeration, t in {2,4}", worst, 1e-12))
 
     # size reduction, exactly: sum_j E[f(V_j(t)) det] = sum_v E_v[f det_1x1]
@@ -266,14 +264,11 @@ def dmr_rw(seed: int = 3456) -> list:
     def f_scalar(xs):
         return np.array([site_vals[int(v)] for v in np.atleast_1d(xs)])
 
-    lhs = 0.0
-    for pick in (0, 1):
+    def picks(p):
+        return np.column_stack([f_scalar(p[:, 0, 0]), f_scalar(p[:, 0, 1])])
 
-        def F(p, pick=pick):
-            return f_scalar(p[:, 0, pick])
-
-        free, _ = sim.brute_force_rw(xi, F, [2], T=4)
-        lhs += free
+    free, _ = sim.brute_force_rw(xi, picks, [2], T=4)
+    lhs = free[0] + free[1]
     rhs = 0.0
     cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in xi.support()])
     for ki, v in enumerate(xi.support()):
@@ -298,9 +293,7 @@ def dmr_bm(seed: int = 4567) -> list:
     rng = np.random.default_rng(seed)
 
     def km(proc, t, x, u):
-        mat = np.array(
-            [[specfun.transition_density(proc, t, xj, uk) for uk in u] for xj in x]
-        )
+        mat = specfun.transition_density(proc, t, np.asarray(x)[:, None], np.asarray(u))
         return cfg.vandermonde(x) / cfg.vandermonde(u) * float(np.linalg.det(mat))
 
     worst = 0.0
@@ -397,7 +390,7 @@ def dmr_bm(seed: int = 4567) -> list:
         worst = max(worst, abs(got - want) / max(1e-12, abs(want)))
     out.append(_check("equal-time density matches the unitary-ensemble law", worst, 1e-8))
 
-    nodes, weights = np.polynomial.legendre.leggauss(400)
+    nodes, weights = quadrature.gauss_legendre(400)
     lo, hi = -14.0, 14.0
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
     w = 0.5 * (hi - lo) * weights

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from detmart import configurations as cfg
 from detmart import specfun
@@ -253,6 +257,91 @@ class TestCannedConfigurations:
         expect = [(k * math.pi) ** 2 for k in (1, 2, 3)]
         assert np.allclose(xi.support(), expect, atol=1e-9)
         assert xi.simple()
+
+
+def per_matrix_det(mat):
+    """The per-matrix partial-pivoted elimination that ``stacked_det``
+    replaced, in the dtype of ``mat``: the reference for extended precision."""
+    a = mat.copy()
+    n = a.shape[0]
+    det = a.dtype.type(1.0)
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0.0:
+            return a.dtype.type(0.0)
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            det = -det
+        det *= a[col, col]
+        for row in range(col + 1, n):
+            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
+    return det
+
+
+def stacks(dtype, elements):
+    """Stacks (m, n, n), m in 1..5 and n in 1..6."""
+    sizes = st.tuples(st.integers(1, 5), st.integers(1, 6))
+    shapes = sizes.map(lambda mn: (mn[0], mn[1], mn[1]))
+    return hnp.arrays(dtype, shapes, elements=elements)
+
+
+# six decimals, so that no product of entries underflows
+_REALS = st.floats(-10.0, 10.0).map(lambda v: round(v, 6))
+_COMPLEX = st.builds(complex, _REALS, _REALS)
+
+
+def hadamard(mats):
+    """The product of the row norms, which bounds |det|; rounding in an
+    elimination is relative to it, not to det, which may cancel to 0."""
+    return np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
+
+
+class TestStackedDet:
+    @settings(max_examples=80, deadline=None)
+    @given(mats=stacks(np.float64, _REALS) | stacks(np.complex128, _COMPLEX))
+    def test_matches_lapack(self, mats):
+        got = cfg.stacked_det(mats)
+        assert got.dtype == mats.dtype and got.shape == mats.shape[:1]
+        want = np.linalg.det(mats)
+        assert np.all(np.abs(got - want) <= 1e-12 * hadamard(mats) + 1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=stacks(np.float64, _REALS))
+    def test_longdouble_equals_per_matrix_elimination(self, mats):
+        mats = mats.astype(np.longdouble)
+        got = cfg.stacked_det(mats)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, [per_matrix_det(m) for m in mats])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mats=stacks(np.float64, _REALS) | stacks(np.longdouble, _REALS),
+        pick=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_singular_gives_zero_without_warning(self, mats, pick, data):
+        m, n = mats.shape[0], mats.shape[-1]
+        k = pick % m
+        if n > 1:
+            # a repeated row: the elimination cancels it exactly
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            r1, r2 = data.draw(pair)
+            mats[k, r2] = mats[k, r1]
+        # a zero column in the next matrix: a zero pivot
+        mats[(k + 1) % m, :, data.draw(st.integers(0, n - 1))] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cfg.stacked_det(mats)
+        assert got[(k + 1) % m] == 0.0
+        assert n == 1 or got[k] == 0.0
+
+    def test_shapes_and_integer_input(self):
+        assert cfg.stacked_det(np.array([[2, 1], [1, 3]])) == 5.0
+        assert cfg.stacked_det(np.eye(3)[None, None]).shape == (1, 1)
+        mats = np.arange(24.0).reshape(2, 3, 2, 2)
+        np.testing.assert_allclose(cfg.stacked_det(mats), np.linalg.det(mats))
+        cplx = np.zeros((2, 2), complex)
+        assert cfg.stacked_det(cplx) == 0.0
 
 
 class TestDetPhiIdentity:

@@ -249,6 +249,24 @@ class TestTwoTimeTransform:
             want = mart.martingale_transform(bm(), xi, 0.0, t, y)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_refuses_nonpositive_s(self, s):
+        # the transform's own refusal, not the one of phi_twotime_coeffs
+        xi = cfg.PointConfiguration(((0.0, 2),))
+        with pytest.raises(DomainError, match="two-time transform requires s > 0"):
+            mart.martingale_transform_twotime(bm(), xi, 0.0, s, 0.3, 1.0, 0.5)
+
+    def test_array_y_gives_array(self):
+        xi = cfg.PointConfiguration(((0.0, 2), (1.5, 1)))
+        ys = np.array([-1.0, 0.25, 2.0])
+        got = mart.martingale_transform_twotime(bm(), xi, 0.0, 0.7, 0.3, 1.2, ys)
+        assert isinstance(got, np.ndarray) and got.shape == ys.shape
+        scalar = [
+            mart.martingale_transform_twotime(bm(), xi, 0.0, 0.7, 0.3, 1.2, y) for y in ys
+        ]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(got, scalar, rtol=1e-14)
+
 
 def walk_companions(times, n_paths, seed):
     """Y(t) = W(C(t)) at ``times`` for n_paths walkers, drawn by

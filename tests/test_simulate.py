@@ -171,7 +171,7 @@ def matrix_det_weight(process, xi, T, ends):
     sup = xi.support()
     cmat = np.column_stack([cfg.phi_coeffs(xi, u) for u in sup])
     mats = mart.poly_values(process, len(sup) - 1, T, ends.astype(np.longdouble)) @ cmat
-    return np.array([cfg.det_longdouble(m) for m in mats])
+    return cfg.stacked_det(mats)
 
 
 def lapack_cpr_weight(process, xi, T, z):
@@ -319,6 +319,32 @@ class TestBruteForce:
 
             free, doob = sim.brute_force_rw(xi, F, [2, 4], T=4)
             assert free == pytest.approx(doob, abs=1e-12)
+
+    def test_vector_observable_columns_equal_scalar_calls(self):
+        xi = simple(0.0, 2.0)
+        tables = np.random.default_rng(5).uniform(0.2, 1.0, size=(3, 2, 21))
+
+        def column(i):
+            # a product of per-time site values, one table per column
+            def F(p):
+                sites = p.astype(int) + 10
+                return np.prod(tables[i][np.arange(2)[:, None], sites], axis=(1, 2))
+
+            return F
+
+        def hit(p):
+            both = (p[:, 0, :] == 2).any(axis=1) & (p[:, 1, :] == 4).any(axis=1)
+            return both.astype(float)
+
+        scalars = [column(0), column(1), hit, column(2)]
+        free, doob = sim.brute_force_rw(
+            xi, lambda p: np.column_stack([F(p) for F in scalars]), [2, 4], T=4
+        )
+        assert free.shape == doob.shape == (4,)
+        for i, F in enumerate(scalars):
+            f1, d1 = sim.brute_force_rw(xi, F, [2, 4], T=4)
+            assert type(f1) is float and type(d1) is float
+            assert free[i] == f1 and doob[i] == d1
 
     def test_capacity_bound(self):
         xi = simple(0.0, 2.0, 4.0)
