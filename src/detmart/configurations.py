@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -293,27 +293,27 @@ def stacked_det(a) -> np.ndarray:
     return np.where(odd, -det, det).reshape(lead)
 
 
-def det_phi_identity_check(xi: PointConfiguration, x: Sequence[float]):
-    """Compare h(x)/h(u) with det[Phi_xi^{u_k}(x_j)].
+def det_phi_identity_check(xi: PointConfiguration | np.ndarray, x):
+    """Compare h(x)/h(u) with det[Phi_xi^{u_k}(x_j)]: (lhs, rhs, |lhs - rhs|).
 
-    Returns (lhs, rhs, |lhs - rhs|).  Entries and the elimination run in
-    extended precision: closely spaced configurations make the cardinal
-    matrix large and its determinant small, and plain double precision
-    cannot certify the identity to 1e-10 there.
+    ``xi`` is a simple configuration (floats out) or distinct support points
+    u of shape (..., N) (arrays (...) out); ``x`` has the shape of u.  The
+    work is in extended precision: close points make the cardinal matrix
+    large and its det small, and double cannot certify 1e-10 there.
     """
-    _require_simple(xi)
-    u = xi.support()
-    if len(x) != len(u):
-        raise DomainError("query size must match the configuration size")
+    if isinstance(xi, PointConfiguration):
+        _require_simple(xi)
+        xi = xi.support()
+    ul = np.asarray(xi, dtype=np.longdouble)
     xl = np.asarray(x, dtype=np.longdouble)
-    ul = np.asarray(u, dtype=np.longdouble)
-    n = len(u)
-    lhs = float(vandermonde(xl) / vandermonde(ul))
-    # mat[j, k] = prod_{r != k} (x_j - u_r) / (u_k - u_r), a product in
+    if xl.shape != ul.shape or (np.diff(np.sort(ul), axis=-1) == 0).any():
+        raise DomainError("the query needs the shape of u, and u distinct points")
+    lhs = (vandermonde(xl) / vandermonde(ul)).astype(float)
+    # mat[..., j, k] = prod_{r != k} (x_j - u_r) / (u_k - u_r), a product in
     # the order of r with the factor r = k set to 1
-    off = ~np.eye(n, dtype=bool)
-    den = np.where(off, ul[:, None] - ul[None, :], 1.0)
-    ratio = (xl[:, None, None] - ul[None, None, :]) / den
+    off = ~np.eye(ul.shape[-1], dtype=bool)
+    den = np.where(off, ul[..., :, None] - ul[..., None, :], 1.0)
+    ratio = (xl[..., :, None, None] - ul[..., None, None, :]) / den[..., None, :, :]
     mat = np.where(off, ratio, 1.0).prod(axis=-1)
-    rhs = float(stacked_det(mat))
-    return lhs, rhs, abs(lhs - rhs)
+    rhs = stacked_det(mat).astype(float)[()]
+    return lhs, rhs, np.abs(lhs - rhs)

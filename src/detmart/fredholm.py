@@ -138,12 +138,14 @@ def fredholm_series(
 
     Gauss-Legendre of ``quad_order`` nodes on each continuous slice, exact
     sums on site chis.  With any continuous slice the order is doubled once
-    and a shift beyond 1e-6 raises.
+    and a shift beyond 1e-6 raises; the doubled order is evaluated first, so
+    that one past the Gauss-Legendre cap (``quad_order`` > 512) is refused
+    before any kernel work.
     """
-    coarse = _series_value(kern, spec, quad_order)
     if all(isinstance(c, SiteChi) for c in spec.chis):
-        return coarse
+        return _series_value(kern, spec, quad_order)
     fine = _series_value(kern, spec, 2 * quad_order)
+    coarse = _series_value(kern, spec, quad_order)
     if abs(fine - coarse) > 1e-6:
         raise NumericError(
             f"fredholm series moved {abs(fine - coarse):.2e} on order doubling"

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,6 +75,8 @@ __all__ = [
 ]
 
 BLOCK = 4096
+# the pool never has more threads than this, whatever ``workers`` asks for
+_CORES = os.cpu_count() or 1
 # the noncolliding sampler draws its matrices in chunks of about 2^13
 # entries (128 KB of complex128); one path's matrix may have at most 2^18
 _CHUNK_CELLS = 1 << 13
@@ -305,12 +308,14 @@ def cpr_weight(
 
 def _run_blocks(n_paths, workers, block_fn):
     """``block_fn(block, size)`` over blocks of BLOCK paths (the last one
-    shorter), on ``workers`` threads, concatenated in block order."""
+    shorter), on at most ``workers`` threads, and never more threads than
+    blocks or cores, concatenated in block order."""
     if n_paths < 1:
         raise DomainError("need at least one path")
     sizes = [min(BLOCK, n_paths - start) for start in range(0, n_paths, BLOCK)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers or 1, len(sizes), _CORES)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(block_fn, range(len(sizes)), sizes))
     else:
         results = list(map(block_fn, range(len(sizes)), sizes))

@@ -57,23 +57,22 @@ def identities(seed: int = 1234) -> list:
     rng = np.random.default_rng(seed)
     out = []
 
-    worst = 0.0
+    # draw every case first, then check each size as one stack
+    cases = {}
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        xi = _simple(*_separated(rng, n, -4.0, 4.0))
-        x = _separated(rng, n, -5.0, 5.0)
-        lhs, _, err = cfg.det_phi_identity_check(xi, x)
-        worst = max(worst, err / max(1.0, abs(lhs)))
+        u = _separated(rng, n, -4.0, 4.0)
+        cases.setdefault(n, []).append((u, _separated(rng, n, -5.0, 5.0)))
+    checks = (cfg.det_phi_identity_check(*zip(*g)) for g in cases.values())
+    worst = max(float(np.max(err / np.maximum(1.0, np.abs(lhs)))) for lhs, _, err in checks)
     out.append(_check("vandermonde-ratio det identity (200 random)", worst, 1e-10))
 
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 9))
         xi = _simple(*np.sort(rng.uniform(-4.0, 4.0, size=n)))
-        sup = xi.support()
-        mat = np.array(
-            [[cfg.phi_simple(xi, uk, uj).real for uk in sup] for uj in sup]
-        )
+        sup = np.array(xi.support())
+        mat = np.stack([cfg.phi_simple(xi, uk, sup).real for uk in sup], axis=-1)
         worst = max(worst, float(np.max(np.abs(mat - np.eye(n)))))
     out.append(_check("cardinal polynomials hit the identity matrix", worst, 1e-12))
 
@@ -199,6 +198,39 @@ def martingales(seed: int = 2345) -> list:
 # --------------------------------------------------------------------------
 
 
+def _rw_correlations(xi) -> tuple:
+    """The walk correlations ``dmr_rw`` checks, as ``correlation`` takes them
+    but from one kernel grid per time pair, and by enumeration: each site of
+    [-t, t + 2] and site pair at t = 2, then t = 4, then each (x at 2, y at 4)."""
+    kern = ker.rw_kernel(xi)
+    sites = {t: np.arange(-t, t + 3.0) for t in (2, 4)}
+    grid = {(s, t): ker.kernel_eval_grid(kern, s, sites[s], t, sites[t])
+            for s in sites for t in sites}
+
+    def minors(s, a, t, b):
+        # det [[K(s, a; s, a), K(s, a; t, b)], [K(t, b; s, a), K(t, b; t, b)]]
+        cells = [grid[s, s][a, a], grid[s, t][a, b], grid[t, s][b, a], grid[t, t][b, b]]
+        return np.linalg.det(np.stack(cells, axis=-1).reshape(-1, 2, 2))
+
+    def occupied(s, a, t, b):
+        # P(sites a occupied at s and sites b at t), one enumeration column each
+        def both(p):
+            hit = (p[:, 0, :, None] == sites[s]).any(axis=1)[:, a]
+            return (hit & (p[:, -1, :, None] == sites[t]).any(axis=1)[:, b]).astype(float)
+
+        return sim.brute_force_rw(xi, both, sorted({s, t}), T=t)[1]
+
+    dets, exact = [], []
+    for t, xs in sites.items():
+        every, (a, b) = np.arange(len(xs)), np.triu_indices(len(xs), 1)
+        dets += [np.linalg.det(grid[t, t][every, every, None, None]), minors(t, a, t, b)]
+        exact.append(occupied(t, np.r_[every, a], t, np.r_[every, b]))
+    a, b = np.indices((len(sites[2]), len(sites[4]))).reshape(2, -1)
+    dets.append(minors(2, a, 4, b))
+    exact.append(occupied(2, a, 4, b))
+    return np.concatenate(dets), np.concatenate(exact)
+
+
 def dmr_rw(seed: int = 3456) -> list:
     """Exact walk identities: representation, kernel correlations, reduction."""
     out = []
@@ -228,58 +260,26 @@ def dmr_rw(seed: int = 3456) -> list:
     out.append(_check("free weighted mean equals conditioned mean (10 F)", worst, 1e-12))
 
     # every site, site pair and two-time pair is one column of one enumeration
-    kern = ker.rw_kernel(xi)
-    worst = 0.0
-    for t in (2, 4):
-        sites = np.arange(-t, t + 3)
-        pairs = list(itertools.combinations(range(len(sites)), 2))
-
-        def hits(p, sites=sites, pairs=pairs):
-            hit = (p[:, 0, :, None] == sites).any(axis=1)
-            both = [hit[:, a] & hit[:, b] for a, b in pairs]
-            return np.column_stack([hit, *both]).astype(float)
-
-        _, exact = sim.brute_force_rw(xi, hits, [t], T=t)
-        points = [(x,) for x in sites] + [(sites[a], sites[b]) for a, b in pairs]
-        for pts, want in zip(points, exact):
-            got = ker.correlation(kern, ker.SpaceTimeQuery((t,), (pts,)))
-            worst = max(worst, abs(got - want))
-    grid = list(itertools.product(range(-2, 5), range(-4, 7)))
-
-    def two_time_hits(p):
-        at2, at4 = p[:, 0, :], p[:, 1, :]
-        return np.column_stack(
-            [(at2 == x).any(axis=1) & (at4 == y).any(axis=1) for x, y in grid]
-        ).astype(float)
-
-    _, exact = sim.brute_force_rw(xi, two_time_hits, [2, 4], T=4)
-    for (x, y), want in zip(grid, exact):
-        got = ker.correlation(kern, ker.SpaceTimeQuery((2, 4), ((x,), (y,))))
-        worst = max(worst, abs(got - want))
+    got, exact = _rw_correlations(xi)
+    worst = float(np.max(np.abs(got - exact)))
     out.append(_check("kernel correlations equal enumeration, t in {2,4}", worst, 1e-12))
 
     # size reduction, exactly: sum_j E[f(V_j(t)) det] = sum_v E_v[f det_1x1]
-    site_vals = {k: rng.uniform(0.1, 1.0) for k in range(-4, 7)}
+    f_sites = rng.uniform(0.1, 1.0, size=11)  # f on the sites -4..6
 
-    def f_scalar(xs):
-        return np.array([site_vals[int(v)] for v in np.atleast_1d(xs)])
+    def f(xs):
+        return f_sites[xs.astype(int) + 4]
 
-    def picks(p):
-        return np.column_stack([f_scalar(p[:, 0, 0]), f_scalar(p[:, 0, 1])])
-
-    free, _ = sim.brute_force_rw(xi, picks, [2], T=4)
+    free, _ = sim.brute_force_rw(xi, lambda p: f(p[:, 0, :]), [2], T=4)
     lhs = free[0] + free[1]
     rhs = 0.0
     cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in xi.support()])
+    # the 16 walks of 4 steps; each start's terms summed left to right
+    walks = np.cumsum(list(itertools.product((-1, 1), repeat=4)), axis=1)
     for ki, v in enumerate(xi.support()):
-        total = 0.0
-        for steps in itertools.product((-1, 1), repeat=4):
-            pos = v + np.cumsum(steps)
-            mval = float(
-                mart.poly_values(rw(), 1, 4.0, np.array([pos[-1]]))[0] @ cmat[:2, ki]
-            )
-            total += f_scalar(pos[1]) [0] * mval / 2.0**4
-        rhs += total
+        pos = v + walks
+        mval = mart.poly_values(rw(), 1, 4.0, pos[:, -1]) @ cmat[:2, ki]
+        rhs += np.cumsum(f(pos[:, 1]) * mval / 2.0**4)[-1]
     out.append(_check("size reduction N=2 to N'=1, exact", abs(lhs - rhs), 1e-12))
     return out
 

@@ -581,6 +581,10 @@ _OCONNELL_DMR = {"route": "dmr",
 BAD_INPUTS = [
     ("fredholm", "quad_order", "abc"),
     ("fredholm", "quad_order", 0),
+    # the Gauss-Legendre rule is capped at 1024 nodes: numpy would try to
+    # allocate 74.5 GiB for this one, and the doubled order of 513 is past it
+    ("fredholm", "quad_order", 100000),
+    ("fredholm", "quad_order", 513),
     ("simulate", "dt", "x"),
     ("oconnell", "dt", "x"),
     ("simulate", "dt", 0.0),

@@ -366,3 +366,25 @@ class TestDetPhiIdentity:
             x = rng.uniform(-5, 5, size=n)
             lhs, rhs, err = cfg.det_phi_identity_check(xi, x)
             assert err <= 1e-10 * max(1.0, abs(lhs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), cases=st.integers(1, 5))
+    def test_stack_rows_equal_single_calls(self, data, n, cases):
+        gaps = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+        xis = [simple(*(-4.0 + np.cumsum(data.draw(gaps)))) for _ in range(cases)]
+        point = st.floats(-5.0, 5.0)
+        x = np.array([data.draw(st.lists(point, min_size=n, max_size=n)) for _ in range(cases)])
+        stacked = cfg.det_phi_identity_check(np.array([xi.support() for xi in xis]), x)
+        assert all(a.shape == (cases,) for a in stacked)
+        for row, xi in enumerate(xis):
+            single = cfg.det_phi_identity_check(xi, x[row])
+            assert all(isinstance(v, float) for v in single)
+            assert [a[row] for a in stacked] == list(single)
+
+    def test_bad_queries_refused(self):
+        with pytest.raises(DomainError):
+            cfg.det_phi_identity_check(simple(0.0, 1.0), [0.0, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            cfg.det_phi_identity_check(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            cfg.det_phi_identity_check([[0.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)))

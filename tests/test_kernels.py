@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from detmart import configurations as cfg
 from detmart import kernels as ker
-from detmart import quadrature, specfun
+from detmart import quadrature, specfun, verify
 from detmart.errors import DomainError
 from detmart.processes import besq, bm
 
@@ -411,6 +412,22 @@ class TestCorrelation:
             pts = tuple(np.sort(rng.uniform(-3, 5, size=rng.integers(1, 3))))
             val = ker.correlation(k, ker.SpaceTimeQuery((t,), (pts,)))
             assert val >= -1e-10
+
+    def test_verify_rw_minors_are_correlations(self):
+        # verify.dmr_rw takes its walk correlations as minors of one kernel
+        # grid per time pair; each must be what correlation returns, to the bit
+        xi = cfg.PointConfiguration.from_points([0.0, 2.0])
+        k = ker.rw_kernel(xi)
+        sites = {t: [float(x) for x in range(-t, t + 3)] for t in (2, 4)}
+        queries = []
+        for t, xs in sites.items():
+            queries += [((t,), ((x,),)) for x in xs]
+            queries += [((t,), (pair,)) for pair in itertools.combinations(xs, 2)]
+        queries += [((2, 4), ((x,), (y,))) for x, y in itertools.product(*sites.values())]
+        dets, _ = verify._rw_correlations(xi)
+        assert len(queries) == len(dets) == 171
+        for (times, points), det in zip(queries, dets):
+            assert det == ker.correlation(k, ker.SpaceTimeQuery(times, points))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_refused(self, bad):

@@ -833,6 +833,57 @@ class TestBlockEngine:
         with pytest.raises(DomainError):
             {**SAMPLERS, **ESTIMATORS}[name](0)
 
+    @pytest.mark.parametrize(
+        "cores, blocks, workers, threads",
+        [(4, 10, 10_000, 4), (64, 3, 10_000, 3), (64, 10, 2, 2), (64, 1, 10_000, None),
+         (1, 10, 10_000, None)],
+    )
+    def test_threads_capped_by_blocks_and_cores(self, monkeypatch, cores, blocks, workers, threads):
+        # a large worker count starts no more threads than blocks or cores;
+        # the pool is recorded, not started
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sim, "_CORES", cores)
+        out = sim._run_blocks(blocks * sim.BLOCK, workers, lambda i, size: np.full(size, i))
+        assert seen == ([] if threads is None else [threads])
+        assert (out == np.repeat(np.arange(blocks), sim.BLOCK)).all()
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.integers(1, 3),
+        offset=st.sampled_from([-1, 0, 1]),
+    )
+    def test_same_estimate_for_any_worker_count(self, seed, blocks, offset):
+        # every block draws from its own stream, so threads change nothing
+        xi = simple(0.0, 2.0)
+        n = blocks * sim.BLOCK + offset
+
+        def F(p):
+            return (p[:, -1, :] >= 0.0).all(axis=1).astype(float)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CORES", 2)  # the pool runs on any box
+            for est in (sim.dmr_expectation, sim.cpr_expectation):
+                serial, pooled = (
+                    est(bm(), xi, F, [0.5, 1.0], n, seed=seed, workers=w) for w in (1, 2)
+                )
+                assert serial == pooled
+
     def test_only_kept_rows_are_weighted(self):
         # the estimator weighs the rows where the observable is nonzero and
         # sets the others to 0: the same estimate as weighing every path

@@ -461,6 +461,18 @@ class TestAdaptiveQuadrature:
         assert val == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
+class TestGaussLegendre:
+    def test_largest_rule_is_built(self):
+        nodes, weights = quadrature.gauss_legendre(1024)
+        assert len(nodes) == 1024
+        assert abs(weights.sum() - 2.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, -3, 1025, 100_000])
+    def test_rule_size_out_of_range_refused(self, n):
+        with pytest.raises(DomainError, match="1 to 1024"):
+            quadrature.gauss_legendre(n)
+
+
 class TestGaussHermite:
     def test_largest_rule_is_finite(self):
         nodes, weights = quadrature.gauss_hermite(360)
