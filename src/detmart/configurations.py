@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -45,11 +46,12 @@ class PointConfiguration:
     def support(self) -> tuple:
         return tuple(loc for loc, _ in self.atoms)
 
-    def multiplicity(self, loc: float) -> int:
-        for r, m in self.atoms:
-            if abs(r - loc) <= MERGE_TOL:
-                return m
-        return 0
+    def index(self, u: float) -> int:
+        """Position of the atom within ``MERGE_TOL`` of u."""
+        for k, (r, _) in enumerate(self.atoms):
+            if abs(r - u) <= MERGE_TOL:
+                return k
+        raise DomainError(f"{u} is not in the support of the configuration")
 
     def total(self) -> int:
         return sum(m for _, m in self.atoms)
@@ -114,7 +116,7 @@ def vandermonde(x):
 def phi_simple(xi: PointConfiguration, u: float, z):
     """Phi_xi^u(z) for simple xi; z may be complex or an array."""
     _require_simple(xi)
-    u = _locate(xi, u)
+    u = xi.support()[xi.index(u)]
     z = np.asarray(z, dtype=complex)
     out = np.ones_like(z)
     for r in xi.support():
@@ -124,43 +126,40 @@ def phi_simple(xi: PointConfiguration, u: float, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def phi_coeffs(xi: PointConfiguration, u: float) -> np.ndarray:
-    """Monomial coefficients of Phi_xi^u, ascending powers, length N.
+@lru_cache(maxsize=256)
+def phi_coeffs(xi: PointConfiguration) -> np.ndarray:
+    """The cardinal basis of xi: column k holds the monomial coefficients
+    (ascending powers) of Phi_xi^{u_k}; shape (N, N), read-only.
 
     Newton-form expansion of the Kronecker interpolation data over the
-    support, then conversion to monomials; this keeps rounding in check
-    for a few dozen nodes where naive product expansion would not.
+    support, then conversion to monomials, for every column at once; this
+    keeps rounding in check for a few dozen nodes where naive product
+    expansion would not.
     """
     _require_simple(xi)
-    u = _locate(xi, u)
     nodes = np.array(xi.support(), dtype=float)
     n = len(nodes)
-    # divided differences of delta-at-u data
-    dd = np.where(np.abs(nodes - u) <= MERGE_TOL, 1.0, 0.0)
+    # divided differences of delta-at-u_k data, column k
+    dd = np.eye(n)
     for level in range(1, n):
-        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / (nodes[level:] - nodes[: n - level])
+        step = nodes[level:] - nodes[: n - level]
+        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / step[:, None]
         # in-place top-down update keeps dd[k] = f[x_{k-level} .. x_k]
     # Horner conversion: p(z) = dd[n-1]; p = p*(z - x_k) + dd[k]
-    coeffs = np.zeros(n)
+    coeffs = np.zeros((n, n))
     coeffs[0] = dd[n - 1]
     for k in range(n - 2, -1, -1):
         coeffs[1 : n - k] = coeffs[0 : n - k - 1]
         coeffs[0] = 0.0
         coeffs[0 : n - k - 1] -= nodes[k] * coeffs[1 : n - k]
         coeffs[0] += dd[k]
+    coeffs.setflags(write=False)
     return coeffs
 
 
 def _require_simple(xi: PointConfiguration):
     if not xi.simple():
         raise DomainError("operation requires a simple configuration")
-
-
-def _locate(xi: PointConfiguration, u: float) -> float:
-    for r, _ in xi.atoms:
-        if abs(r - u) <= MERGE_TOL:
-            return r
-    raise DomainError(f"{u} is not in the support of the configuration")
 
 
 # --------------------------------------------------------------------------
@@ -194,14 +193,17 @@ def phi_twotime(
 ) -> complex:
     """Phi((s, x); z) = Res_{zeta = u} R(zeta) / (z - zeta)
     prod_r ((z - r) / (zeta - r))^{m_r}, R = p(s, x | zeta) / p(s, x | u)."""
-    coeffs = phi_twotime_coeffs(process, xi, u, s, x)
+    coeffs = phi_twotime_coeffs(process, xi, s, x)[:, xi.index(u)]
     return complex(np.polyval(coeffs[::-1], complex(z)))
 
 
+@lru_cache(maxsize=4096)
 def phi_twotime_coeffs(
-    process: ProcessKind, xi: PointConfiguration, u: float, s: float, x: float
+    process: ProcessKind, xi: PointConfiguration, s: float, x: float
 ) -> np.ndarray:
-    """Monomial coefficients (ascending, length total(xi)) of z -> Phi((s,x); z).
+    """Two-time Phi of every atom: column k holds the monomial coefficients
+    (ascending) of z -> Phi((s, x); z) at the k-th atom u; shape
+    (total(xi), number of atoms), read-only.
 
     Phi = prod_{r != u} (z - r)^{m_r} sum_{j < m_u} c_j (z - u)^j, where c
     holds the first m_u Taylor coefficients in w of
@@ -209,23 +211,25 @@ def phi_twotime_coeffs(
     """
     if s <= 0:
         raise DomainError("phi_twotime requires s > 0")
-    u = _locate(xi, u)
-    m_u = xi.multiplicity(u)
-    others = [(r, m) for r, m in xi.atoms if r != u]
-    c = _ratio_taylor(process, s, x, u, m_u)
-    j = np.arange(m_u)
-    for r, m in others:
-        binom = np.array([math.comb(m + k - 1, k) for k in range(m_u)], dtype=float)
-        c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
-    # monomials by Horner in (z - u), then one factor (z - r) at a time
-    poly = c[-1:]
-    for cj in c[-2::-1]:
-        poly = np.convolve(poly, [-u, 1.0])
-        poly[0] += cj
-    for r, m in others:
-        for _ in range(m):
-            poly = np.convolve(poly, [-r, 1.0])
-    return poly
+    out = np.empty((xi.total(), len(xi.atoms)))
+    for k, (u, m_u) in enumerate(xi.atoms):
+        others = [(r, m) for r, m in xi.atoms if r != u]
+        c = _ratio_taylor(process, s, x, u, m_u)
+        j = np.arange(m_u)
+        for r, m in others:
+            binom = np.array([math.comb(m + i - 1, i) for i in range(m_u)], dtype=float)
+            c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
+        # monomials by Horner in (z - u), then one factor (z - r) at a time
+        poly = c[-1:]
+        for cj in c[-2::-1]:
+            poly = np.convolve(poly, [-u, 1.0])
+            poly[0] += cj
+        for r, m in others:
+            for _ in range(m):
+                poly = np.convolve(poly, [-r, 1.0])
+        out[:, k] = poly
+    out.setflags(write=False)
+    return out
 
 
 # --------------------------------------------------------------------------

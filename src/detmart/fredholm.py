@@ -41,6 +41,9 @@ __all__ = [
 # Gauss-Legendre nodes of the finite-rank shortcut's single slice
 _SHORTCUT_ORDER = 200
 
+# the largest series order: doubled, it is the Gauss-Legendre cap of 1024
+_MAX_QUAD_ORDER = 512
+
 
 @dataclass(frozen=True)
 class ContinuousChi:
@@ -106,13 +109,32 @@ class TestFunctionSpec:
 # --------------------------------------------------------------------------
 
 
-def _slice_nodes(chi, order: int):
-    """(points, weights, chi values) discretizing one time slice."""
+def _check_chis(process: ProcessKind, spec: TestFunctionSpec) -> None:
+    """DomainError for a chi on sites off the walk: diffusion paths never
+    hit a site, so such a chi is read by every route as zero or not at all."""
+    if process.tag != "RW" and any(isinstance(c, SiteChi) for c in spec.chis):
+        raise DomainError(f"a chi on sites needs the walk; {process.tag} needs "
+                          "a chi on an interval")
+
+
+def _slice_nodes(kern: ker.CorrelationKernel, t: float, chi, order: int):
+    """(points, weights, chi values) discretizing the slice at time t.
+
+    The walk sums exactly over sites: those of a site chi, or the sites of
+    an interval that a walker started in xi can reach by time t (one parity,
+    within t of the starts).  A diffusion integrates an interval by
+    Gauss-Legendre of ``order`` nodes.
+    """
     if isinstance(chi, SiteChi):
         pts = np.array([s for s, _ in chi.sites])
-        wts = np.ones_like(pts)
-        return pts, wts, np.array([v for _, v in chi.sites])
+        return pts, np.ones_like(pts), np.array([v for _, v in chi.sites])
     a, b = chi.support
+    if kern.process.tag == "RW":
+        sup = kern.xi.support()
+        first = sup[0] - t
+        lo = first + 2.0 * max(0.0, np.ceil((a - first) / 2.0))
+        pts = np.arange(lo, np.floor(min(b, sup[-1] + t)) + 1.0, 2.0)
+        return pts, np.ones_like(pts), chi(pts)
     x, w = quadrature.gauss_legendre(order)
     pts = 0.5 * (b - a) * x + 0.5 * (a + b)
     wts = 0.5 * (b - a) * w
@@ -121,9 +143,7 @@ def _slice_nodes(chi, order: int):
 
 def _series_value(kern, spec, order: int) -> float:
     """det(I + K diag(w chi)) on the stacked slice nodes of every time."""
-    if kern.xi is None:
-        raise DomainError("the series needs a finite-configuration kernel")
-    slices = [_slice_nodes(chi, order) for chi in spec.chis]
+    slices = [_slice_nodes(kern, t, chi, order) for t, chi in zip(spec.times, spec.chis)]
     mat = ker._block_matrix(kern, spec.times, [pts for pts, _, _ in slices])
     wchi = np.concatenate([w * c for _, w, c in slices])
     return float(np.linalg.det(np.eye(len(wchi)) + mat * wchi))
@@ -136,14 +156,19 @@ def fredholm_series(
 ) -> float:
     """Nystrom determinant of the Fredholm series det(I + K chi).
 
-    Gauss-Legendre of ``quad_order`` nodes on each continuous slice, exact
-    sums on site chis.  With any continuous slice the order is doubled once
-    and a shift beyond 1e-6 raises; the doubled order is evaluated first, so
-    that one past the Gauss-Legendre cap (``quad_order`` > 512) is refused
-    before any kernel work.
+    Exact site sums for the walk; for a diffusion, Gauss-Legendre of
+    ``quad_order`` nodes on each slice, doubled once, and a shift beyond
+    1e-6 raises.  A ``quad_order`` whose double is past the Gauss-Legendre
+    cap is refused before any kernel work.
     """
-    if all(isinstance(c, SiteChi) for c in spec.chis):
+    if kern.xi is None:
+        raise DomainError("the series needs a finite-configuration kernel")
+    _check_chis(kern.process, spec)
+    if kern.process.tag == "RW":
         return _series_value(kern, spec, quad_order)
+    if quad_order > _MAX_QUAD_ORDER:
+        raise DomainError(f"quad_order must be at most {_MAX_QUAD_ORDER}: it is "
+                          "doubled once, and Gauss-Legendre rules stop at 1024 nodes")
     fine = _series_value(kern, spec, 2 * quad_order)
     coarse = _series_value(kern, spec, quad_order)
     if abs(fine - coarse) > 1e-6:
@@ -162,18 +187,14 @@ def finite_rank_det(kern: ker.CorrelationKernel, spec: TestFunctionSpec) -> floa
     proc = kern.process
     if xi is None or not xi.simple():
         raise DomainError("the finite-rank shortcut needs a simple configuration")
+    _check_chis(proc, spec)
     t = spec.times[0]
-    pts, wts, chiv = _slice_nodes(spec.chis[0], _SHORTCUT_ORDER)
-    sup = xi.support()
-    n = len(sup)
-    mvals = np.column_stack(
-        [mart.martingale_transform(proc, xi, u, t, pts) for u in sup]
-    )
-    pvals = np.column_stack(
-        [specfun.transition_density(proc, t, pts, u) for u in sup]
-    )
+    pts, wts, chiv = _slice_nodes(kern, t, spec.chis[0], _SHORTCUT_ORDER)
+    cmat = cfg.phi_coeffs(xi)
+    mvals = mart.poly_values(proc, len(cmat) - 1, t, pts) @ cmat
+    pvals = specfun.transition_density(proc, t, pts[:, None], np.array(xi.support()))
     a = np.einsum("q,qj,qk->jk", wts * chiv, mvals, pvals)
-    return float(np.linalg.det(np.eye(n) + a))
+    return float(np.linalg.det(np.eye(len(cmat)) + a))
 
 
 def mgf_monte_carlo(
@@ -186,6 +207,7 @@ def mgf_monte_carlo(
     workers: int = 1,
 ) -> simulate.Estimate:
     """Monte Carlo of the chi-product observable under the det weight."""
+    _check_chis(process, spec)
 
     def observable(paths):
         out = np.ones(paths.shape[0])

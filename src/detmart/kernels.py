@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,32 +156,6 @@ class SpaceTimeQuery:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _phi_coeff_matrix(xi: cfg.PointConfiguration) -> np.ndarray:
-    """Columns: monomial coefficients of Phi_xi^{u_k}; shape (N, N)."""
-    sup = xi.support()
-    n = len(sup)
-    out = np.empty((n, n))
-    for k, u in enumerate(sup):
-        out[:, k] = cfg.phi_coeffs(xi, u)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _twotime_coeff_matrix(
-    process: ProcessKind, xi: cfg.PointConfiguration, s: float, x: float
-) -> np.ndarray:
-    """Columns: coefficients of the two-time Phi for each support point."""
-    sup = xi.support()
-    d = xi.total()
-    out = np.empty((d, len(sup)))
-    for k, u in enumerate(sup):
-        out[:, k] = cfg.phi_twotime_coeffs(process, xi, u, s, x)
-    out.setflags(write=False)
-    return out
-
-
 def _rw_parity_ok(t: float, x: np.ndarray) -> np.ndarray:
     """Integer offsets x from a start that a walk reaches at time t: t + x even."""
     return (x == np.floor(x)) & ((t + x) % 2 == 0)
@@ -227,10 +200,10 @@ def kernel_eval_grid(
     pvals = specfun.transition_density(proc, s, xs[:, None], np.array(xi.support()))
     if v == "multipoint":
         cmat = np.stack(
-            [_twotime_coeff_matrix(proc, xi, float(s), float(xv)) for xv in xs]
+            [cfg.phi_twotime_coeffs(proc, xi, float(s), float(xv)) for xv in xs]
         )
     else:
-        cmat = _phi_coeff_matrix(xi)
+        cmat = cfg.phi_coeffs(xi)
     mvals = mart.poly_values(proc, cmat.shape[-2] - 1, t, ys) @ cmat
     out = (mvals @ pvals[:, :, None])[..., 0]
     if s > t:

@@ -8,9 +8,10 @@ are (local) martingales along the process:
     RW    Fujita's polynomials, generated by e^{a x} / (cosh a)^t
 
 The martingale map of a simple configuration xi at support point u is
-M_xi^u(t, y) = sum_l c_l m_l(t, y) with c the monomial coefficients of the
-cardinal polynomial Phi_xi^u; a two-time variant covers configurations
-with multiple points through the residue polynomial of ``configurations``.
+M_xi^u(t, y) = sum_l c_l m_l(t, y) with c the column of u in the cardinal
+basis of xi (``configurations.phi_coeffs``); a two-time variant covers
+configurations with multiple points through the residue polynomials of
+``configurations``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def martingale_transform(
     if t < 0:
         raise DomainError("martingale_transform requires t >= 0")
     if route == "coefficient":
-        co = cfg.phi_coeffs(xi, u)
+        # the column of u as a contiguous copy: a strided dot rounds otherwise
+        co = np.ascontiguousarray(cfg.phi_coeffs(xi)[:, xi.index(u)])
         vals = poly_values(process, len(co) - 1, t, y)
         out = vals @ co
         return float(out) if np.ndim(out) == 0 else out
@@ -168,7 +170,8 @@ def martingale_transform_twotime(
         raise DomainError("two-time transform requires s > 0")
     if t < 0:
         raise DomainError("two-time transform requires t >= 0")
-    co = cfg.phi_twotime_coeffs(process, xi, u, s, x)
+    basis = cfg.phi_twotime_coeffs(process, xi, float(s), float(x))
+    co = np.ascontiguousarray(basis[:, xi.index(u)])  # a strided dot rounds otherwise
     vals = poly_values(process, len(co) - 1, t, y)
     out = vals @ co
     return float(out) if np.ndim(out) == 0 else out

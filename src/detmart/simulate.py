@@ -648,7 +648,6 @@ def reducibility_check(
         raise DomainError("supported sizes: 1 <= n_prime <= N <= 4")
     ts = check_times(process, (t,))
     u = np.array(sup)
-    cmat_full = np.column_stack([cfg.phi_coeffs(xi, v) for v in sup])
 
     # left side: one ensemble from the full configuration; the sum over
     # n'-subsets of the positions does not depend on the labels
@@ -664,7 +663,7 @@ def reducibility_check(
     # streams of seed + 7919 (subset index + 1)
     rhs_mean = rhs_var = 0.0
     for si, subset in enumerate(itertools.combinations(range(n), n_prime)):
-        cmat = cmat_full[:, list(subset)]
+        cmat = cfg.phi_coeffs(xi)[:, list(subset)]
 
         def weight(_block, paths, grid, kept):
             # M_xi^{v_k}(t, V_j) of every row as one (rows * n', n) @ (n, n') product

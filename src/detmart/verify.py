@@ -117,7 +117,7 @@ def _weight_identities(rng) -> list:
             x = lo + np.cumsum(rng.uniform(0.25, 2.25, size=(10, n)), axis=1)
             x = rng.permuted(x, axis=1)
         xi = cfg.PointConfiguration.from_points(u)
-        cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in u])
+        cmat = cfg.phi_coeffs(xi)
         # extended precision: the lower coefficients of the BESQ m_l grow
         # like (2T)^l l!, and in double the matrix misses by up to 1e-8 here
         xl = x.astype(ld)
@@ -273,7 +273,7 @@ def dmr_rw(seed: int = 3456) -> list:
     free, _ = sim.brute_force_rw(xi, lambda p: f(p[:, 0, :]), [2], T=4)
     lhs = free[0] + free[1]
     rhs = 0.0
-    cmat = np.column_stack([cfg.phi_coeffs(xi, v) for v in xi.support()])
+    cmat = cfg.phi_coeffs(xi)
     # the 16 walks of 4 steps; each start's terms summed left to right
     walks = np.cumsum(list(itertools.product((-1, 1), repeat=4)), axis=1)
     for ki, v in enumerate(xi.support()):

@@ -477,7 +477,8 @@ class TestFredholmCommand:
         config = {
             "schema": "detmart/1",
             "command": "fredholm",
-            "process": {"kind": "BM"},
+            # the walk, on whose sites both kinds of chi are read
+            "process": {"kind": "RW"},
             "xi": {"atoms": [[0.0, 1], [2.0, 1]]},
             "spec": {
                 "times": [1, 2.0],
@@ -581,10 +582,10 @@ _OCONNELL_DMR = {"route": "dmr",
 BAD_INPUTS = [
     ("fredholm", "quad_order", "abc"),
     ("fredholm", "quad_order", 0),
-    # the Gauss-Legendre rule is capped at 1024 nodes: numpy would try to
-    # allocate 74.5 GiB for this one, and the doubled order of 513 is past it
-    ("fredholm", "quad_order", 100000),
-    ("fredholm", "quad_order", 513),
+    # the order is doubled once and the Gauss-Legendre rule is capped at
+    # 1024 nodes: numpy would try to allocate 74.5 GiB for the first one
+    ("fredholm", "quad_order", 100000, "quad_order must be at most 512"),
+    ("fredholm", "quad_order", 513, "quad_order must be at most 512"),
     ("simulate", "dt", "x"),
     ("oconnell", "dt", "x"),
     ("simulate", "dt", 0.0),
@@ -645,6 +646,12 @@ BAD_INPUTS = [
     ("fredholm", "spec.chi", [{"support": [-1.0, math.inf], "scale": -0.6}]),
     # a chi is either on sites or on an interval
     ("fredholm", "spec.chi", [{"sites": [[0, 0.3]], "support": [-1.0, 2.5], "scale": -0.6}]),
+    # Brownian paths never hit a site: the series read each site with
+    # weight 1, the Monte Carlo never saw it
+    *(("fredholm", "spec.chi", [{"sites": [[0, 0.5], [2, -0.4]]}], route,
+       "chi on sites needs the walk")
+      for route in ({"route": "series"}, {"route": "finite_rank"},
+                    {"route": "mc", "mc": {"n_paths": 10, "seed": 1}})),
     # every route refuses the times the process does not admit: these ran,
     # the series at 1.0, the horizon rounded, the grid as zeros
     ("fredholm", "spec.times", [2.5], {"process": {"kind": "RW"}}),
@@ -683,16 +690,19 @@ def _bad_input_id(row):
     command, field, value, *extra = row
     parts = [command, field, str(value)]
     for overrides in extra:
-        parts += [f"{k}={v}" for k, v in overrides.items()]
+        if isinstance(overrides, dict):
+            parts += [f"{k}={v}" for k, v in overrides.items()]
     return "-".join(parts)
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("row", BAD_INPUTS, ids=[_bad_input_id(r) for r in BAD_INPUTS])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, row):
+        # a row may end in config overrides (dicts) and a text its error names
         command, field, value, *extra = row
+        overrides = [e for e in extra if isinstance(e, dict)]
         config = json.loads(json.dumps(VALID[command]))
-        config.update(*json.loads(json.dumps(extra)))  # rows share their dicts
+        config.update(*json.loads(json.dumps(overrides)))  # rows share their dicts
         node = config
         *parents, leaf = field.split(".")
         for part in parents:
@@ -703,6 +713,7 @@ class TestExitCodes:
         assert run([command, write_config(tmp_path, config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(text in err for text in extra if isinstance(text, str))
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

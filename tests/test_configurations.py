@@ -38,6 +38,54 @@ def contour_phi(process, xi, u, s, x, z, nodes=256):
     return complex(np.mean(vals * ring))
 
 
+def single_node_phi_coeffs(xi, u):
+    """The one-column Newton and Horner expansion that ``phi_coeffs``
+    replaced: the reference for its column of u."""
+    u = xi.support()[xi.index(u)]
+    nodes = np.array(xi.support(), dtype=float)
+    n = len(nodes)
+    dd = np.where(np.abs(nodes - u) <= cfg.MERGE_TOL, 1.0, 0.0)
+    for level in range(1, n):
+        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / (nodes[level:] - nodes[: n - level])
+    coeffs = np.zeros(n)
+    coeffs[0] = dd[n - 1]
+    for k in range(n - 2, -1, -1):
+        coeffs[1 : n - k] = coeffs[0 : n - k - 1]
+        coeffs[0] = 0.0
+        coeffs[0 : n - k - 1] -= nodes[k] * coeffs[1 : n - k]
+        coeffs[0] += dd[k]
+    return coeffs
+
+
+def single_atom_twotime_coeffs(process, xi, u, s, x):
+    """The one-atom residue polynomial that ``phi_twotime_coeffs``
+    replaced: the reference for its column of u."""
+    u, m_u = xi.atoms[xi.index(u)]
+    others = [(r, m) for r, m in xi.atoms if r != u]
+    c = cfg._ratio_taylor(process, s, x, u, m_u)
+    j = np.arange(m_u)
+    for r, m in others:
+        binom = np.array([math.comb(m + k - 1, k) for k in range(m_u)], dtype=float)
+        c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
+    poly = c[-1:]
+    for cj in c[-2::-1]:
+        poly = np.convolve(poly, [-u, 1.0])
+        poly[0] += cj
+    for r, m in others:
+        for _ in range(m):
+            poly = np.convolve(poly, [-r, 1.0])
+    return poly
+
+
+@st.composite
+def separated_points(draw, max_size, lo, gap):
+    """An increasing list of 1..max_size points from ``lo`` on, spaced by
+    ``gap`` to 2."""
+    start = draw(st.floats(lo, lo + 5.0))
+    gaps = draw(st.lists(st.floats(gap, 2.0), max_size=max_size - 1))
+    return list(start + np.cumsum([0.0] + gaps))
+
+
 class TestPointConfiguration:
     def test_sorting_and_merging(self):
         xi = cfg.PointConfiguration(((2.0, 1), (0.0, 1), (2.0 + 1e-12, 2)))
@@ -65,6 +113,14 @@ class TestPointConfiguration:
         for loc in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 cfg.PointConfiguration.from_points([0.0, loc])
+
+    def test_index_within_merge_tolerance(self):
+        xi = cfg.PointConfiguration(((-1.0, 2), (0.5, 1), (2.0, 3)))
+        assert [xi.index(u) for u in xi.support()] == [0, 1, 2]
+        assert xi.index(0.5 + 0.5 * cfg.MERGE_TOL) == 1
+        for u in (0.5 + 2 * cfg.MERGE_TOL, 1.0):
+            with pytest.raises(DomainError, match="not in the support"):
+                xi.index(u)
 
 
 class TestVandermonde:
@@ -124,28 +180,38 @@ class TestPhiSimple:
 
 class TestPhiCoeffs:
     def test_two_point(self):
-        co = cfg.phi_coeffs(simple(0.0, 1.0), 0.0)
-        assert co == pytest.approx([1.0, -1.0])
+        # Phi^0 = 1 - z and Phi^1 = z, one column each
+        co = cfg.phi_coeffs(simple(0.0, 1.0))
+        assert co.tolist() == [[1.0, 0.0], [-1.0, 1.0]]
 
     def test_singleton(self):
-        assert cfg.phi_coeffs(simple(0.0), 0.0) == pytest.approx([1.0])
+        assert cfg.phi_coeffs(simple(0.0)).tolist() == [[1.0]]
 
     def test_matches_phi_simple_at_random_points(self):
         rng = np.random.default_rng(21)
         xi = simple(*np.sort(rng.uniform(-3, 3, size=6)))
-        for u in xi.support():
-            co = cfg.phi_coeffs(xi, u)
+        basis = cfg.phi_coeffs(xi)
+        for k, u in enumerate(xi.support()):
             for z in rng.uniform(-4, 4, size=20):
                 direct = cfg.phi_simple(xi, u, z)
-                horner = np.polynomial.polynomial.polyval(z, co)
+                horner = np.polynomial.polynomial.polyval(z, basis[:, k])
                 assert abs(direct - horner) <= 1e-12 * max(1.0, abs(direct))
 
     def test_leading_coefficient(self):
         xi = simple(-1.0, 0.0, 2.0)
-        for u in xi.support():
-            co = cfg.phi_coeffs(xi, u)
+        basis = cfg.phi_coeffs(xi)
+        for k, u in enumerate(xi.support()):
             expect = 1.0 / np.prod([u - r for r in xi.support() if r != u])
-            assert co[-1] == pytest.approx(expect, rel=1e-12)
+            assert basis[-1, k] == pytest.approx(expect, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=separated_points(20, -10.0, 0.05))
+    def test_columns_bit_equal_single_node(self, points):
+        xi = simple(*points)
+        basis = cfg.phi_coeffs(xi)
+        assert basis.shape == (len(points), len(points))
+        for k, u in enumerate(xi.support()):
+            assert np.array_equal(basis[:, k], single_node_phi_coeffs(xi, u))
 
 
 class TestPhiTwoTime:
@@ -193,8 +259,9 @@ class TestPhiTwoTime:
     def test_degree_bound_by_interpolation(self):
         xi = cfg.PointConfiguration(((0.0, 2), (1.0, 1)))
         s, x = 0.7, 0.4
-        co = cfg.phi_twotime_coeffs(bm(), xi, 0.0, s, x)
-        assert len(co) == xi.total()
+        basis = cfg.phi_twotime_coeffs(bm(), xi, s, x)
+        assert basis.shape == (xi.total(), len(xi.atoms))
+        co = basis[:, xi.index(0.0)]
         rng = np.random.default_rng(3)
         for z in rng.uniform(-2, 2, size=5):
             got = contour_phi(bm(), xi, 0.0, s, x, complex(z))
@@ -224,14 +291,14 @@ class TestPhiTwoTime:
     def test_length_kept_when_top_coefficient_vanishes(self):
         # BM, all mass at 0, x = 0: Phi = 1 + H_1(0) z / sqrt(2s) = 1
         xi = cfg.PointConfiguration(((0.0, 2),))
-        co = cfg.phi_twotime_coeffs(bm(), xi, 0.0, 0.8, 0.0)
-        assert co.tolist() == [1.0, 0.0]
+        co = cfg.phi_twotime_coeffs(bm(), xi, 0.8, 0.0)
+        assert co.tolist() == [[1.0], [0.0]]
 
     def test_value_at_u_is_one(self):
         # c_0 = prod_{r != u} (u - r)^{-m_r}, so Phi((s, x); u) = 1
         xi = cfg.PointConfiguration(((-1.0, 2), (0.5, 1), (1.7, 3)))
         for u in (-1.0, 1.7):
-            co = cfg.phi_twotime_coeffs(bm(), xi, u, 0.6, 0.9)
+            co = cfg.phi_twotime_coeffs(bm(), xi, 0.6, 0.9)[:, xi.index(u)]
             got = cfg.phi_twotime(bm(), xi, u, 0.6, 0.9, u)
             assert got == np.polynomial.polynomial.polyval(u, co)
             assert abs(got - 1.0) <= 1e-12
@@ -239,11 +306,29 @@ class TestPhiTwoTime:
     def test_nonpositive_s_rejected(self):
         xi = cfg.PointConfiguration(((0.0, 2),))
         with pytest.raises(DomainError):
-            cfg.phi_twotime_coeffs(bm(), xi, 0.0, 0.0, 0.0)
+            cfg.phi_twotime_coeffs(bm(), xi, 0.0, 0.0)
 
     def test_rw_rejected(self):
         with pytest.raises(DomainError):
             cfg.phi_twotime(rw(), simple(0.0, 2.0), 0.0, 1.0, 0.0, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        process=st.sampled_from([bm(), besq(0.0), besq(1.0)]),
+        points=separated_points(4, 0.2, 0.3),
+        data=st.data(),
+        s=st.floats(0.2, 2.0),
+        x=st.floats(0.1, 3.0),
+    )
+    def test_columns_bit_equal_single_atom(self, process, points, data, s, x):
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(points),
+                                   max_size=len(points)))
+        xi = cfg.PointConfiguration(tuple(zip(points, mults)))
+        basis = cfg.phi_twotime_coeffs(process, xi, s, x)
+        assert basis.shape == (xi.total(), len(xi.atoms))
+        for k, u in enumerate(xi.support()):
+            want = single_atom_twotime_coeffs(process, xi, u, s, x)
+            assert np.array_equal(basis[:, k], want)
 
 
 class TestCannedConfigurations:

@@ -177,6 +177,64 @@ class TestFiniteRank:
             assert series2 == pytest.approx(exact2, abs=1e-10)
 
 
+class TestStateSpace:
+    """chi is read on the states the process lives on: sites for the walk,
+    intervals for a diffusion."""
+
+    def test_walk_reads_interval_on_sites(self):
+        # the interval covers the sites 0, 1 and 2; the Gauss-Legendre nodes
+        # of a quadrature are no sites, and the series read 1.0 there
+        xi = simple(0.0, 2.0)
+        kern = ker.rw_kernel(xi)
+        interval = fred.ContinuousChi.indicator(-0.5, 2.5, -0.5)
+
+        def F(p):
+            return np.prod(1.0 + interval(p[:, 0, :]), axis=1)
+
+        _, exact = sim.brute_force_rw(xi, F, [2], T=2)
+        assert exact == pytest.approx(0.546875, abs=1e-15)
+        sites = fred.SiteChi(((0, -0.5), (1, -0.5), (2, -0.5)))
+        for chi in (interval, sites):
+            spec = fred.TestFunctionSpec((2,), (chi,))
+            assert fred.fredholm_series(kern, spec) == pytest.approx(exact, abs=1e-12)
+            assert fred.finite_rank_det(kern, spec) == pytest.approx(exact, abs=1e-12)
+        mc = fred.mgf_monte_carlo(
+            rw(), xi, fred.TestFunctionSpec((2,), (interval,)), 40_000, seed=45
+        )
+        assert abs(mc.mean - exact) <= 4 * mc.std_error
+
+    def test_walk_reads_huge_interval_on_reachable_sites(self):
+        xi = simple(0.0, 2.0)
+        kern = ker.rw_kernel(xi)
+        spec = fred.TestFunctionSpec((2, 4), (
+            fred.ContinuousChi.indicator(-1e15, 1e15, 0.3),
+            fred.ContinuousChi.indicator(-math.inf, 1.0, -0.2),
+        ))
+        pts, wts, _ = fred._slice_nodes(kern, 2.0, spec.chis[0], 64)
+        assert pts.tolist() == [-2.0, 0.0, 2.0, 4.0] and wts.tolist() == [1.0] * 4
+
+        def F(p):
+            return np.prod(1.3 * (1.0 - 0.2 * (p[:, 1, :] <= 1.0)), axis=1)
+
+        _, exact = sim.brute_force_rw(xi, F, [2, 4], T=4)
+        assert fred.fredholm_series(kern, spec) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("route", ["series", "finite_rank", "mc"])
+    def test_diffusion_refuses_site_chi(self, route):
+        # Brownian paths never hit a site: the series read each site with
+        # weight 1 (1.00865), the Monte Carlo never saw it (1.0015)
+        xi = simple(0.0, 2.0)
+        spec = fred.TestFunctionSpec((1.0,), (fred.SiteChi(((0, 0.5), (2, -0.4))),))
+        kern = ker.general_kernel(bm(), xi)
+        run = {
+            "series": lambda: fred.fredholm_series(kern, spec),
+            "finite_rank": lambda: fred.finite_rank_det(kern, spec),
+            "mc": lambda: fred.mgf_monte_carlo(bm(), xi, spec, 100, seed=1),
+        }[route]
+        with pytest.raises(DomainError, match="chi on sites needs the walk"):
+            run()
+
+
 class TestMultiTime:
     def test_rw_two_times_all_routes(self):
         xi = simple(0.0, 2.0)

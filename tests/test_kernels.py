@@ -106,8 +106,8 @@ class TestKernelEval:
     @pytest.mark.parametrize(
         "cached",
         [
-            lambda xi: ker._phi_coeff_matrix(xi),
-            lambda xi: ker._twotime_coeff_matrix(bm(), xi, 1.0, 0.5),
+            lambda xi: cfg.phi_coeffs(xi),
+            lambda xi: cfg.phi_twotime_coeffs(bm(), xi, 1.0, 0.5),
             lambda xi: quadrature.gauss_legendre(8)[1],
             lambda xi: quadrature.gauss_hermite(8)[0],
             lambda xi: quadrature.gauss_laguerre_general(0.5, 8)[1],

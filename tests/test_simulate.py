@@ -168,9 +168,8 @@ def matrix_det_weight(process, xi, T, ends):
     values M_xi^{u_k}(T, V_j) assembled from monomial coefficients, in
     extended precision (in double it misses h(V)/h(u) by 1e-9 at N = 4,
     T = 1: BESQ(1/2), u = (1, 2.5, 3, 3.25), V = (0.5, 0.75, 1, 2))."""
-    sup = xi.support()
-    cmat = np.column_stack([cfg.phi_coeffs(xi, u) for u in sup])
-    mats = mart.poly_values(process, len(sup) - 1, T, ends.astype(np.longdouble)) @ cmat
+    cmat = cfg.phi_coeffs(xi)
+    mats = mart.poly_values(process, len(cmat) - 1, T, ends.astype(np.longdouble)) @ cmat
     return cfg.stacked_det(mats)
 
 

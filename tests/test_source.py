@@ -9,7 +9,9 @@ detmart/1 config (``from_dict``, ``to_dict``, ``*_from_dict``) outside
 axis or a walk start outside ``processes.py``, the one module that decides
 which times and starts a process admits, and no path stream or block loop
 (``stream``, ``_run_blocks``) outside ``simulate.py``, whose estimator body
-every Monte Carlo route runs through.
+every Monte Carlo route runs through, and no ``lru_cache`` or
+``functools.cache`` function whose returned arrays no test checks
+read-only.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -273,3 +275,48 @@ def test_streams_and_block_loops_in_simulate_only():
         for ref in sorted(_used_names(tree) & {"stream", "_run_blocks"})
     ]
     assert not stray, stray
+
+
+# caches that return no array: the argparse parser
+_CACHE_EXEMPT = {("cli", "_build_parser")}
+
+
+def _cached_functions():
+    """(module, name) of every package function under ``lru_cache`` or
+    ``functools.cache``, bare or called."""
+    for name, tree in TREES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for deco in fn.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(deco, "id", getattr(deco, "attr", None)) in ("lru_cache", "cache"):
+                    yield name[: -len(".py")], fn.name
+
+
+def test_every_cache_is_checked_read_only():
+    # a cache hands one array to every caller, so each must be read-only;
+    # the functions the parametrize of the read-only test calls count
+    tree = ast.parse((ROOT / "tests" / "test_kernels.py").read_text())
+    alias = {
+        a.asname or a.name: a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "detmart"
+        for a in node.names
+    }
+    (test,) = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "test_cached_arrays_are_read_only"
+    ]
+    checked = {
+        (alias[node.value.id], node.attr)
+        for deco in test.decorator_list
+        for node in ast.walk(deco)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in alias
+    }
+    cached = set(_cached_functions())
+    assert _CACHE_EXEMPT <= cached, "a stale exemption"
+    unchecked = sorted(cached - checked - _CACHE_EXEMPT)
+    assert not unchecked, unchecked
