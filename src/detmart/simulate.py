@@ -9,10 +9,12 @@ BES(n + 1/2), h the Vandermonde product; no matrix is formed.
 ``brute_force_rw`` enumerates every walk outcome exactly and is the
 ground truth the walk estimators are tested against.
 
-Free transitions over dt take one variate per coordinate: BM adds
-sqrt(dt) Z; BESQ(nu) is dt chi'^2_{2 nu + 2}(x / dt), a noncentral chi^2,
-and BES(nu) its square root at noncentrality x^2 / dt; the walk adds
-2 B - steps, B the set bits of ``steps`` uniform bits in words of <= 64.
+Free transitions over dt: BM adds sqrt(dt) Z; BESQ(nu) is
+dt chi'^2_{2 nu + 2}(x / dt), a noncentral chi^2, and BES(nu) its square
+root at noncentrality x^2 / dt; the walk adds 2 B - steps, B the set bits
+of ``steps`` uniform bits in words of <= 64.  For df >= 1, chi'^2_df(l) is
+(Z + sqrt(l))^2 + chi^2_{df - 1}, the last Z'^2 at df = 2, 0 at df = 1 and
+else 2 Gamma((df - 1) / 2); below df = 1 numpy's ``noncentral_chisquare``.
 
 Randomness: Philox counter streams keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible and independent of how
@@ -34,7 +36,9 @@ stream in time order: eigenvalues of diag(u) + H(t), H a Hermitian BM
 (N + nu) x N complex Brownian matrix from [diag(sqrt u); 0]
 (Koenig-O'Connell 2001); for BESQ(1/2), squared positive eigenvalues of
 the class-C matrix [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
-B complex symmetric Brownian (Katori-Tanemura 2004).  Observables receive
+B complex symmetric Brownian (Katori-Tanemura 2004).  The ordered walk is
+the h-transform of free walks, whose step weight h(x + e) / h(x) is the
+product over pairs j < k of 1 + (e_k - e_j) / (x_k - x_j).  Observables receive
 positions sorted within each time slice (the unlabeled configuration) as
 an array of shape (paths, times, particles) and must return one value
 per path.  ``_sort_particles`` does that sort: up to MAX_PARTICLES (8)
@@ -196,9 +200,9 @@ def _sample_free_block(process, u, ts, size, rng):
             if process.tag == "BM":
                 state = state + math.sqrt(dt) * rng.standard_normal(state.shape)
             elif process.tag == "BESQ":
-                state = dt * rng.noncentral_chisquare(2 * process.nu + 2, state / dt)
+                state = dt * _noncentral_chisquare(rng, 2 * process.nu + 2, state / dt)
             elif process.tag == "BES":
-                sq = dt * rng.noncentral_chisquare(2 * process.nu + 2, state**2 / dt)
+                sq = dt * _noncentral_chisquare(rng, 2 * process.nu + 2, state**2 / dt)
                 state = np.sqrt(sq)
             elif process.tag == "RW":
                 steps, heads = int(round(dt)), np.zeros(state.shape, np.int64)
@@ -211,6 +215,18 @@ def _sample_free_block(process, u, ts, size, rng):
                 raise DomainError(f"unsupported process {process}")
         out[:, m, :] = state
         prev_t = t
+    return out
+
+
+def _noncentral_chisquare(rng, df, nonc):
+    """chi'^2_df(nonc) per entry of ``nonc``, as the module docstring says."""
+    if df < 1:
+        return rng.noncentral_chisquare(df, nonc)
+    out = np.square(rng.standard_normal(nonc.shape) + np.sqrt(nonc))
+    if df == 2:
+        out += np.square(rng.standard_normal(nonc.shape))
+    elif df > 1:
+        out += 2.0 * rng.standard_gamma((df - 1) / 2, nonc.shape)
     return out
 
 
@@ -276,10 +292,11 @@ def det_weight(
     process: ProcessKind, xi: cfg.PointConfiguration, T: float, end_positions
 ) -> np.ndarray:
     """det[M_xi^{u_k}(T, V_j(T))] = h(V(T)) / h(u) for end positions (n, N);
-    m_{N-1} is built only to refuse processes and horizons without one."""
+    refused for BES (no polynomial martingales), T < 0 and a fractional walk T."""
     pts = np.asarray(end_positions, dtype=float)
     u = _weight_nodes(xi, pts)
-    mart.poly_coeffs(process, len(u) - 1, T)
+    if process.tag == "BES" or T < 0 or process.tag == "RW" and not float(T).is_integer():
+        raise DomainError(f"no det weight for {process} at horizon T = {T}")
     return cfg.vandermonde(pts) / cfg.vandermonde(u)
 
 
@@ -431,8 +448,8 @@ def sample_noncolliding_rw(
     """Exact sampler of the ordered walk via the Vandermonde h-transform.
 
     One-step law P(x -> x + e) = 2^{-N} h(x + e) / h(x) over the 2^N sign
-    vectors; moves that leave the ordered sector carry h = 0.  The weights
-    must sum to one at every visited state, which is asserted.
+    vectors, a product of pair factors (module docstring).  The weights must
+    sum to one at every visited state, which is asserted.
     """
     if not xi.simple():
         raise DomainError("starting configuration must be simple")
@@ -440,32 +457,38 @@ def sample_noncolliding_rw(
     ts = check_times(rw(), times)
     n = len(u)
     horizon = int(ts[-1])
-    moves = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=float)
+    # moves as columns in product order; per pair j < k, those with e_k - e_j = 2, -2
+    moves = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=float).T.copy()
+    pairs = [
+        (j, k, np.flatnonzero(moves[k] > moves[j]), np.flatnonzero(moves[k] < moves[j]))
+        for j, k in itertools.combinations(range(n), 2)
+    ]
     record = {int(t): i for i, t in enumerate(ts)}
 
     def one_block(block, size):
         rng = stream(seed, block)
         out = np.empty((size, len(ts), n))
-        state = np.broadcast_to(u, (size, n)).copy()
+        state = np.repeat(u[:, None], size, axis=1)  # (n, size)
         if 0 in record:
-            out[:, record[0], :] = state
+            out[:, record[0], :] = state.T
         for step in range(1, horizon + 1):
-            cand = state[:, None, :] + moves[None, :, :]  # (size, 2^n, n)
-            h_new = cfg.vandermonde(cand)
-            h_old = cfg.vandermonde(state)
-            weights = np.maximum(h_new, 0.0) / (2.0**n * h_old[:, None])
-            total = weights.sum(axis=1)
-            if np.max(np.abs(total - 1.0)) > 1e-9:
+            weights = np.full((moves.shape[1], size), 2.0**-n)
+            for j, k, up, down in pairs:
+                r = 2.0 / (state[k] - state[j])
+                weights[up] *= 1.0 + r
+                weights[down] *= 1.0 - r
+            # cumulated in place, row by row (np.cumsum is slow along axis 0)
+            for m in range(1, len(weights)):
+                weights[m] += weights[m - 1]
+            if np.max(np.abs(weights[-1] - 1.0)) > 1e-9:
                 raise NumericError(
                     "one-step weights failed to sum to one; "
                     "harmonicity of the Vandermonde factor is broken"
                 )
-            cum = np.cumsum(weights, axis=1)
-            draws = rng.random(size)
-            pick = (draws[:, None] >= cum).sum(axis=1)
-            state = cand[np.arange(size), pick, :]
+            pick = (rng.random(size) >= weights).sum(axis=0)
+            state += moves.take(pick, axis=1)
             if step in record:
-                out[:, record[step], :] = state
+                out[:, record[step], :] = state.T
         return out
 
     out = _run_blocks(n_paths, 1, one_block)

@@ -237,11 +237,13 @@ class TestDmrEstimate:
         # the estimate the order search returned, at 256 nodes
         params = oc.LiftParams(a=1 / 7, nu_hat=drifts(-1.0, 1.0), t=1.0, h=0.0)
         est = oc.oconnell_theta_dmr(params, 4000, seed=61)
-        assert repr(est) == (
-            "Estimate(mean=(0.037913133827217345+4.480535111766646e-18j), "
-            "std_error=0.002489274117159304, n=4000, "
-            "std_error_imag=3.3318834174855626e-19)"
-        )
+        # the real part is pinned; the imaginary part is roundoff, whose
+        # last bits depend on numpy's SIMD dispatch
+        assert est.mean.real == 0.037913133827217345
+        assert est.std_error == 0.002489274117159304
+        assert est.n == 4000
+        assert abs(est.mean.imag) <= 1e-15
+        assert est.std_error_imag <= 1e-15
 
 
 class TestReference:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -79,11 +80,13 @@ class TestSampleFree:
             (besq(-0.3), 0.0, (0.3, 0.6), 6.0, 25),
             (bes(1.5), 1.0, (0.5, 1.0), 5.0, 26),
             (bes(1.5), 0.0, (0.5, 1.0), 5.0, 27),
+            (besq(-0.7), 1.0, (0.3, 0.6), 6.0, 28),  # df < 1: numpy's sampler
         ],
     )
     def test_marginals_match_density(self, proc, x0, times, hi, seed):
         # both time slices, so the second transition starts from a random
-        # state; BESQ bin masses are integrated in u = sqrt(y), BES in y
+        # state; BESQ bin masses are integrated in u = y^a, a = min(1/2, nu + 1),
+        # where the density (~ y^nu at 0) is finite, BES in y
         n = 200_000
         ens = sim.sample_free(proc, [x0], times, n, seed=seed)
         edges = np.linspace(0.0, hi, 21)
@@ -91,10 +94,11 @@ class TestSampleFree:
             hist, _ = np.histogram(ens.paths[:, m, 0], bins=edges)
             for i in range(len(edges) - 1):
                 if proc.tag == "BESQ":
-                    lo_hi = math.sqrt(edges[i]), math.sqrt(edges[i + 1])
-                    grid = np.linspace(*lo_hi, 201)
+                    a = min(0.5, proc.nu + 1.0)
+                    grid = np.linspace(edges[i] ** a, edges[i + 1] ** a, 201)
                     grid[grid == 0.0] = 1e-12
-                    dens = specfun.transition_density(proc, t, grid**2, x0) * 2 * grid
+                    jac = grid ** (1 / a - 1) / a
+                    dens = specfun.transition_density(proc, t, grid ** (1 / a), x0) * jac
                 else:
                     grid = np.linspace(edges[i], edges[i + 1], 201)
                     dens = specfun.transition_density(proc, t, grid, x0)
@@ -544,7 +548,61 @@ class TestCpr:
         assert serial == pooled
 
 
+def vandermonde_ratio_rw(xi, times, n_paths, seed):
+    """The ordered-walk sampler with the step it had before the pair factors:
+    every candidate state x + e formed as a (paths, 2^N, N) array, weighted by
+    2^{-N} h(x + e) / h(x) from two Vandermonde products, the move picked
+    by inverse CDF from one uniform per path of the (seed, block) stream."""
+    u = np.array(xi.support(), dtype=float)
+    n = len(u)
+    moves = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=float)
+    record = {int(t): i for i, t in enumerate(times)}
+
+    def one_block(block, size):
+        rng = sim.stream(seed, block)
+        out = np.empty((size, len(times), n))
+        state = np.broadcast_to(u, (size, n)).copy()
+        if 0 in record:
+            out[:, record[0], :] = state
+        for step in range(1, int(times[-1]) + 1):
+            cand = state[:, None, :] + moves[None, :, :]
+            h_new = cfg.vandermonde(cand)
+            weights = np.maximum(h_new, 0.0) / (2.0**n * cfg.vandermonde(state)[:, None])
+            cum = np.cumsum(weights, axis=1)
+            pick = (rng.random(size)[:, None] >= cum).sum(axis=1)
+            state = cand[np.arange(size), pick, :]
+            if step in record:
+                out[:, record[step], :] = state
+        return out
+
+    return sim._run_blocks(n_paths, 1, one_block)
+
+
+# N = 1-5 from even and odd starts, some time axes starting at 0
+WALK_ORACLE_CASES = [
+    ((0,), (0, 3)),
+    ((1,), (2, 5)),
+    ((0, 2), (0, 1, 4)),
+    ((-3, 1), (3, 6)),
+    ((0, 2, 4), (2, 6)),
+    ((-5, -1, 3), (0, 5)),
+    ((0, 2, 6, 8), (1, 4)),
+    ((1, 3, 5, 9), (0, 3)),
+    ((0, 2, 4, 6, 8), (0, 2, 4)),
+    ((-3, -1, 1, 3, 5), (3,)),
+]
+
+
 class TestNoncollidingRw:
+    @pytest.mark.parametrize("seed", [3, 19])
+    @pytest.mark.parametrize("starts, times", WALK_ORACLE_CASES)
+    def test_pair_factors_match_vandermonde_ratio(self, starts, times, seed):
+        # the same paths, bit for bit, over three blocks (the last one short)
+        xi = simple(*starts)
+        n = 2 * sim.BLOCK + 3
+        paths = sim.sample_noncolliding_rw(xi, times, n, seed).paths
+        assert (paths == vandermonde_ratio_rw(xi, times, n, seed)).all()
+
     def test_single_particle_free_law(self):
         xi = simple(0.0)
         ens = sim.sample_noncolliding_rw(xi, [2], 50_000, seed=20)
@@ -561,8 +619,6 @@ class TestNoncollidingRw:
 
     def test_step_weights_sum_to_one(self):
         # harmonicity of the Vandermonde factor, state by state
-        import itertools
-
         for state in ([0, 2], [-2, 4], [0, 2, 4], [-4, 0, 6]):
             state = np.array(state, dtype=float)
             n = len(state)
