@@ -119,7 +119,11 @@ def _spec(config: dict, field: str) -> fred.TestFunctionSpec:
                               "of 'sites' or 'support'")
         if "sites" in item:
             sites = _pairs(item["sites"], f"{at}.sites")
-            chis.append(fred.SiteChi(tuple(_numbers(p, f"{at}.sites") for p in sites)))
+            sites = tuple(_numbers(p, f"{at}.sites") for p in sites)
+            try:
+                chis.append(fred.SiteChi(sites))
+            except DomainError as exc:
+                raise ConfigError(f"config field '{at}[].sites': {exc}") from exc
             continue
         if item.get("kind", "indicator") != "indicator":
             raise ConfigError(f"config field '{at}.kind' must be 'indicator'")

@@ -277,9 +277,14 @@ def stacked_det(a) -> np.ndarray:
     odd = np.zeros(m, dtype=bool)
     for col in range(n - 1):
         # the first row of largest magnitude in column col, as argmax picks
-        # it (NaN aside): the count of running maxima below the overall one
-        running = np.maximum.accumulate(np.abs(a[col:, col]), axis=0)
-        pivot = (running < running[-1]).sum(axis=0)
+        # it (NaN aside): only a strictly larger magnitude moves the pivot
+        best = np.abs(a[col, col])
+        pivot = np.zeros(m, dtype=np.intp)
+        for row in range(col + 1, n):
+            mag = np.abs(a[row, col])
+            more = mag > best
+            best = np.where(more, mag, best)
+            pivot = np.where(more, row - col, pivot)
         # swap it into row col, from column col on
         dst = row0[col:] + col * n * m
         src = dst + pivot * (n * m)

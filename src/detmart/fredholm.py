@@ -71,7 +71,7 @@ class ContinuousChi:
 
 @dataclass(frozen=True)
 class SiteChi:
-    """chi supported on finitely many lattice sites."""
+    """chi supported on finitely many lattice sites, each named once."""
 
     sites: tuple  # ((site, value), ...)
 
@@ -80,6 +80,9 @@ class SiteChi:
         object.__setattr__(self, "sites", items)
         if any(v <= -1.0 for _, v in items):
             raise DomainError("chi must stay above -1")
+        # a repeated site has no single value: the routes would disagree on it
+        if len({s for s, _ in items}) < len(items):
+            raise DomainError("chi names a site twice")
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

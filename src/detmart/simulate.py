@@ -33,10 +33,18 @@ Noncolliding BM and BESQ paths are exact spectra of matrix diffusions,
 whose increments between observation times come from the (seed, block)
 stream in time order: eigenvalues of diag(u) + H(t), H a Hermitian BM
 (Dyson); for BESQ(nu), integer nu >= 0, squared singular values of the
-(N + nu) x N complex Brownian matrix from [diag(sqrt u); 0]
+(N + nu) x N complex Brownian matrix M from [diag(sqrt u); 0]
 (Koenig-O'Connell 2001); for BESQ(1/2), squared positive eigenvalues of
-the class-C matrix [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
-B complex symmetric Brownian (Katori-Tanemura 2004).  The ordered walk is
+the class-C matrix H = [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
+B complex symmetric Brownian (Katori-Tanemura 2004).  The eigen stage
+takes every position as an eigenvalue of an N x N matrix: the Hermitian
+one, the Gram matrix M^H M, and H^2, quaternion-Hermitian P + Qj.
+``_hermitian_eigvals`` finds them for the whole chunk at once, by cyclic
+Jacobi rotations up to 3 x 3 and by LAPACK above.  The squared forms
+(Gram, H^2) carry an absolute error of about eps x_max on each position,
+x_max the largest in its time slice, so a position far below x_max keeps
+fewer correct digits than the singular values or the eigenvalues of H
+would give it.  The ordered walk is
 the h-transform of free walks, whose step weight h(x + e) / h(x) is the
 product over pairs j < k of 1 + (e_k - e_j) / (x_k - x_j).  Observables receive
 positions sorted within each time slice (the unlabeled configuration) as
@@ -85,6 +93,11 @@ _CORES = os.cpu_count() or 1
 # entries (128 KB of complex128); one path's matrix may have at most 2^18
 _CHUNK_CELLS = 1 << 13
 _MAX_CELLS = 1 << 18
+# up to this many rows ``_hermitian_eigvals`` runs Jacobi sweeps over the
+# stack; LAPACK is faster from 4 x 4 on at the sampler's chunk sizes
+_JACOBI_MAX = 3
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _MASK64 = (1 << 64) - 1
 _COMPANION_KEY = 0x9E3779B97F4A7C15
 # the real-representation estimators take at most this many particles, and
@@ -536,14 +549,14 @@ def sample_noncolliding(
 
 
 def _matrix_model(process, u):
-    """Shape of one path's matrix, and its diagonal at time 0."""
+    """Shape of one path's matrix (H for class C), and the diagonal of its
+    first N rows (of A for class C) at time 0."""
     n = len(u)
     if process.tag == "BM":
         return (n, n), u
-    root = np.sqrt(u)
     if process.nu == 0.5:
-        return (2 * n, 2 * n), np.concatenate([root, -root])
-    return (n + int(process.nu), n), root
+        return (2 * n, 2 * n), np.sqrt(u)
+    return (n + int(process.nu), n), np.sqrt(u)
 
 
 def _complex_gaussian(rng, shape, var):
@@ -560,29 +573,120 @@ def _hermitian_bm(rng, shape, dt):
 
 
 def _noncolliding_chunk(process, u, ts, size, rng):
-    """``size`` paths of the matrix model, carried from one time to the next."""
+    """``size`` paths of the matrix model, carried from one time to the next,
+    stack axis last: the (rows, N) matrix, for class C A over B."""
     n = len(u)
     shape, diag = _matrix_model(process, u)
-    mat = np.zeros((size,) + shape, dtype=complex)
-    mat[:, range(len(diag)), range(len(diag))] = diag
+    mat = np.zeros((shape[0], n, size), dtype=complex)
+    mat[range(n), range(n)] = diag[:, None]
     out = np.empty((size, len(ts), n))
     for m, (t, step) in enumerate(zip(ts, np.diff((0.0,) + ts))):
         if t == 0:
             out[:, m, :] = u
             continue
         if process.tag == "BM":
-            mat += _hermitian_bm(rng, (size, n, n), step)
-            out[:, m, :] = np.linalg.eigvalsh(mat)
+            mat += _hermitian_bm(rng, (size, n, n), step).transpose(1, 2, 0)
         elif process.nu == 0.5:
-            a = _hermitian_bm(rng, (size, n, n), step)
+            mat[:n] += _hermitian_bm(rng, (size, n, n), step).transpose(1, 2, 0)
             g = _complex_gaussian(rng, (size, n, n), step / 2.0)
-            b = g + np.swapaxes(g, -1, -2)
-            mat += np.block([[a, b], [np.conj(b), -np.conj(a)]])
-            out[:, m, :] = np.linalg.eigvalsh(mat)[:, n:] ** 2
+            mat[n:] += (g + np.swapaxes(g, -1, -2)).transpose(1, 2, 0)
         else:
-            mat += _complex_gaussian(rng, mat.shape, 2.0 * step)
-            out[:, m, :] = np.linalg.svd(mat, compute_uv=False)[:, ::-1] ** 2
+            mat += _complex_gaussian(rng, (size,) + shape, 2.0 * step).transpose(1, 2, 0)
+        out[:, m, :] = _model_positions(process, mat)
     return out
+
+
+def _stack_matmul(x, y):
+    """x @ y for stacks of matrices held stack axis last."""
+    return np.einsum("ikm,kjm->ijm", x, y)
+
+
+def _model_positions(process, mat):
+    """Positions, ascending (m, N), of a stack-last matrix-model state: the
+    eigenvalues of the Hermitian matrix (Dyson), of the Gram matrix M^H M
+    (Wishart), and for class C those of H^2 = P + Qj with P = A^2 + B conj(B)
+    and Q = A B - B conj(A), each eigenvalue lambda^2 of H^2 a Kramers pair."""
+    if process.tag == "BM":
+        return _hermitian_eigvals(mat)
+    if process.nu != 0.5:
+        return _hermitian_eigvals(_stack_matmul(np.conj(mat).swapaxes(0, 1), mat))
+    a, b = np.split(mat, 2)
+    return _hermitian_eigvals(
+        _stack_matmul(a, a) + _stack_matmul(b, np.conj(b)),
+        _stack_matmul(a, b) - _stack_matmul(b, np.conj(a)),
+    )
+
+
+def _quat_mul(x, y):
+    """x y for entries held as (P,), a complex number, or (P, Q) for P + Qj."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    (a, b), (c, d) = x, y
+    return (a * c - b * np.conj(d), a * d + b * np.conj(c))
+
+
+def _quat_conj(x):
+    return (np.conj(x[0]),) if len(x) == 1 else (np.conj(x[0]), -x[1])
+
+
+def _hermitian_eigvals(p, q=None):
+    """Ascending eigenvalues (m, n) of a stack of Hermitian matrices held
+    stack axis last, (n, n, m): complex P, or quaternion P + Qj given as the
+    pair (P, Q), whose complex form [[P, Q], [-conj Q, conj P]] has each of
+    them twice.
+
+    Up to _JACOBI_MAX rows, cyclic Jacobi rotations run on every matrix at
+    once, one (m,) vector per entry, reading the diagonal and the upper
+    triangle only (n = 2 takes one rotation: the closed form).  Sweeps stop
+    when every matrix's off-diagonal part is below eps times its Frobenius
+    norm, which bounds each eigenvalue's error by about eps max|lambda|.
+    Above _JACOBI_MAX rows LAPACK's eigvalsh, of the complex form for P + Qj.
+    """
+    n = p.shape[0]
+    if n > _JACOBI_MAX:
+        if q is not None:
+            p = np.concatenate(
+                [np.concatenate([p, q], 1), np.concatenate([-np.conj(q), np.conj(p)], 1)]
+            )
+        lam = np.linalg.eigvalsh(np.moveaxis(p, -1, 0))
+        return lam if q is None else lam[:, ::2]
+    d = [p[i, i].real for i in range(n)]
+    x = [[(p[i, j],) if q is None else (p[i, j], q[i, j]) for j in range(n)] for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in pairs:
+        x[j][i] = _quat_conj(x[i][j])
+
+    def off():
+        return sum(np.square(v.real) + np.square(v.imag) for i, j in pairs for v in x[i][j])
+
+    # off() <= tol: (eps ||A||_F)^2, the Frobenius norm kept by every rotation
+    tol = (_EPS * _EPS) * (sum(np.square(v) for v in d) + 2.0 * off()) if n > 2 else 0
+    zero = tuple(np.zeros_like(v) for v in x[0][-1])
+    for _ in range(30):
+        for i, j in pairs:
+            h = x[i][j]
+            r = np.abs(h[0]) if len(h) == 1 else np.hypot(np.abs(h[0]), np.abs(h[1]))
+            delta = 0.5 * (d[j] - d[i])
+            # the smaller angle, tan = g r, with g finite where h = 0
+            g = np.copysign(1.0 / np.maximum(np.abs(delta) + np.hypot(delta, r), _TINY), delta)
+            t = g * r
+            c = 1.0 / np.hypot(1.0, t)
+            tr = t * r
+            d[i], d[j] = d[i] - tr, d[j] + tr
+            # the rotation by (c, s) in the plane of h / r; tau = s (h / r) / c
+            tau = tuple(g * v for v in h)
+            x[i][j] = x[j][i] = zero
+            for k in range(n):
+                if k != i and k != j:
+                    mix = _quat_mul(x[k][j], _quat_conj(tau))
+                    xi = tuple(c * (a - b) for a, b in zip(x[k][i], mix))
+                    mix = _quat_mul(x[k][i], tau)
+                    xj = tuple(c * (a + b) for a, b in zip(x[k][j], mix))
+                    x[k][i], x[i][k] = xi, _quat_conj(xi)
+                    x[k][j], x[j][k] = xj, _quat_conj(xj)
+        if n <= 2 or not (off() > tol).any():
+            return _sort_particles(np.stack(d, axis=-1))
+    raise NumericError("Jacobi sweeps did not converge in 30 sweeps")
 
 
 # --------------------------------------------------------------------------

@@ -652,6 +652,9 @@ BAD_INPUTS = [
        "chi on sites needs the walk")
       for route in ({"route": "series"}, {"route": "finite_rank"},
                     {"route": "mc", "mc": {"n_paths": 10, "seed": 1}})),
+    # a repeated site: the series summed both values, the enumeration kept one
+    ("fredholm", "spec.chi", [{"sites": [[0, 0.5], [0, 0.3]]}],
+     {"process": {"kind": "RW"}, "spec": {"times": [2], "chi": []}}, "spec.chi[].sites"),
     # every route refuses the times the process does not admit: these ran,
     # the series at 1.0, the horizon rounded, the grid as zeros
     ("fredholm", "spec.times", [2.5], {"process": {"kind": "RW"}}),

@@ -346,10 +346,14 @@ class TestCannedConfigurations:
 
 def per_matrix_det(mat):
     """The per-matrix partial-pivoted elimination that ``stacked_det``
-    replaced, in the dtype of ``mat``: the reference for extended precision."""
+    replaced, in the dtype of ``mat``: the reference for its bits.  Every
+    complex product and quotient is taken between 1-element arrays, not in
+    place, which numpy rounds as its loops over a stack of two or more
+    matrices do; complex scalars, and one element in place or broadcast,
+    are rounded otherwise (as by a fused multiply-add)."""
     a = mat.copy()
     n = a.shape[0]
-    det = a.dtype.type(1.0)
+    det = np.ones(1, dtype=a.dtype)
     for col in range(n):
         pivot = col + int(np.argmax(np.abs(a[col:, col])))
         if a[pivot, col] == 0.0:
@@ -357,15 +361,16 @@ def per_matrix_det(mat):
         if pivot != col:
             a[[col, pivot]] = a[[pivot, col]]
             det = -det
-        det *= a[col, col]
+        det = det * a[col, col : col + 1]
         for row in range(col + 1, n):
-            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
-    return det
+            factor = a[row, col : col + 1] / a[col, col : col + 1]
+            a[row, col + 1 :] -= factor * a[col, col + 1 :]
+    return det[0]
 
 
-def stacks(dtype, elements):
-    """Stacks (m, n, n), m in 1..5 and n in 1..6."""
-    sizes = st.tuples(st.integers(1, 5), st.integers(1, 6))
+def stacks(dtype, elements, least=1):
+    """Stacks (m, n, n), m in least..5 and n in 1..6."""
+    sizes = st.tuples(st.integers(least, 5), st.integers(1, 6))
     shapes = sizes.map(lambda mn: (mn[0], mn[1], mn[1]))
     return hnp.arrays(dtype, shapes, elements=elements)
 
@@ -391,11 +396,15 @@ class TestStackedDet:
         assert np.all(np.abs(got - want) <= 1e-12 * hadamard(mats) + 1e-300)
 
     @settings(max_examples=60, deadline=None)
-    @given(mats=stacks(np.float64, _REALS))
-    def test_longdouble_equals_per_matrix_elimination(self, mats):
-        mats = mats.astype(np.longdouble)
+    @given(mats=stacks(np.float64, _REALS) | stacks(np.complex128, _COMPLEX, least=2),
+           dtype=st.sampled_from([None, np.longdouble]))
+    def test_longdouble_equals_per_matrix_elimination(self, mats, dtype):
+        # float64 and complex128 as drawn, float64 also as longdouble; a
+        # single complex matrix is rounded by numpy's one-element loops
+        if dtype is not None and mats.dtype == np.float64:
+            mats = mats.astype(dtype)
         got = cfg.stacked_det(mats)
-        assert got.dtype == np.longdouble
+        assert got.dtype == mats.dtype
         assert np.array_equal(got, [per_matrix_det(m) for m in mats])
 
     @settings(max_examples=60, deadline=None)

@@ -37,6 +37,13 @@ class TestSpecParsing:
         with pytest.raises(DomainError):
             fred.SiteChi(((0, -2.0),))
 
+    def test_repeated_site_refused(self):
+        # fredholm_series summed both values at site 0 (1.4), the walk
+        # enumeration kept the last one (1.25)
+        with pytest.raises(DomainError, match="twice"):
+            fred.SiteChi(((0, 0.5), (0, 0.3)))
+        assert fred.SiteChi(((0, 0.5), (2, 0.3))).sites == ((0.0, 0.5), (2.0, 0.3))
+
     def test_times_strictly_increasing(self):
         chi = fred.ContinuousChi.indicator(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):

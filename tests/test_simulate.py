@@ -805,6 +805,149 @@ class TestMatrixModels:
         with pytest.raises(DomainError):
             sim.sample_noncolliding(besq(0.3), simple(1.0, 4.0), [0.5], 1e-3, 10, seed=40)
 
+
+def _cgauss(rng, shape):
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+
+
+def _test_matrices(rng, m, n, kind, quaternion):
+    """A stack (m, n, n) of Hermitian P, and for a quaternion an
+    antisymmetric Q (else None), of the named kind."""
+    g = _cgauss(rng, (m, n, n))
+    p = g + np.conj(np.swapaxes(g, -1, -2))
+    g = _cgauss(rng, (m, n, n))
+    q = g - np.swapaxes(g, -1, -2) if quaternion else None
+    if kind == "diagonal":
+        p = p * np.eye(n)
+        q = None if q is None else 0 * q
+    elif kind == "repeated":
+        # U diag(lam) U^H with one eigenvalue taken at least twice; Q = 0,
+        # so that every eigenvalue of the quaternion matrix repeats too
+        u = np.linalg.qr(_cgauss(rng, (m, n, n)))[0]
+        lam = np.repeat(rng.standard_normal((m, 2)), [n - n // 2, n // 2], axis=1)
+        p = (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        q = None if q is None else 0 * q
+    elif kind == "tiny":
+        # close diagonal entries, off-diagonal entries 1e-12 of them
+        off = 1e-12 * (p - p * np.eye(n))
+        p = np.eye(n) * (1.0 + 1e-9 * p.real) + off
+        q = None if q is None else 1e-12 * q
+    elif kind == "graded":
+        scale = 1e4 ** np.arange(n)
+        p = scale[:, None] * p * scale
+        q = None if q is None else scale[:, None] * q * scale
+    return p, q
+
+
+def _stack_last(a):
+    return None if a is None else np.ascontiguousarray(a.transpose(1, 2, 0))
+
+
+def _assert_close(got, want, tol=1e-13):
+    """|got - want| <= tol max|want| for each leading index (row or slice)."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= tol * scale).all()
+
+
+def lapack_chunk(process, u, ts, size, rng):
+    """The matrix-model chunk with LAPACK's spectra (eigvalsh of the
+    Hermitian and the 2N x 2N class-C matrix, svd of the Wishart matrix),
+    drawing what ``_noncolliding_chunk`` draws: the oracle of its eigen stage."""
+    n = len(u)
+    if process.tag == "BM":
+        shape, diag = (n, n), u
+    elif process.nu == 0.5:
+        shape, diag = (2 * n, 2 * n), np.concatenate([np.sqrt(u), -np.sqrt(u)])
+    else:
+        shape, diag = (n + int(process.nu), n), np.sqrt(u)
+    mat = np.zeros((size,) + shape, dtype=complex)
+    mat[:, range(len(diag)), range(len(diag))] = diag
+    out = np.empty((size, len(ts), n))
+    for m, (t, step) in enumerate(zip(ts, np.diff((0.0,) + ts))):
+        if t == 0:
+            out[:, m, :] = u
+            continue
+        if process.tag == "BM":
+            mat += sim._hermitian_bm(rng, (size, n, n), step)
+            out[:, m, :] = np.linalg.eigvalsh(mat)
+        elif process.nu == 0.5:
+            a = sim._hermitian_bm(rng, (size, n, n), step)
+            g = sim._complex_gaussian(rng, (size, n, n), step / 2.0)
+            b = g + np.swapaxes(g, -1, -2)
+            mat += np.block([[a, b], [np.conj(b), -np.conj(a)]])
+            out[:, m, :] = np.linalg.eigvalsh(mat)[:, n:] ** 2
+        else:
+            mat += sim._complex_gaussian(rng, mat.shape, 2.0 * step)
+            out[:, m, :] = np.linalg.svd(mat, compute_uv=False)[:, ::-1] ** 2
+    return out
+
+
+class TestEigenStage:
+    """``_hermitian_eigvals`` and the three routes through it, against LAPACK."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, sim._JACOBI_MAX + 1),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "diagonal", "repeated", "tiny", "graded"]),
+        quaternion=st.booleans(),
+    )
+    def test_matches_eigvalsh(self, n, m, seed, kind, quaternion):
+        p, q = _test_matrices(np.random.default_rng(seed), m, n, kind, quaternion)
+        got = sim._hermitian_eigvals(_stack_last(p), _stack_last(q))
+        if q is None:
+            want = np.linalg.eigvalsh(p)
+        else:
+            # the complex form has every eigenvalue of P + Qj twice
+            want = np.linalg.eigvalsh(np.block([[p, q], [-np.conj(q), np.conj(p)]]))[:, ::2]
+        assert (np.diff(got, axis=1) >= 0).all()
+        _assert_close(got, want)
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wishart_route_matches_svd(self, n, nu):
+        mats = _cgauss(np.random.default_rng(10 * n + nu), (300, n + nu, n))
+        got = sim._model_positions(besq(nu), _stack_last(mats))
+        _assert_close(got, np.linalg.svd(mats, compute_uv=False)[:, ::-1] ** 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_class_c_route_matches_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        a, _ = _test_matrices(rng, 300, n, "random", False)
+        g = _cgauss(rng, (300, n, n))
+        b = g + np.swapaxes(g, -1, -2)
+        h = np.block([[a, b], [np.conj(b), -np.conj(a)]])
+        got = sim._model_positions(besq(0.5), _stack_last(np.concatenate([a, b], axis=1)))
+        _assert_close(got, np.linalg.eigvalsh(h)[:, n:] ** 2)
+
+    @pytest.mark.parametrize(
+        "proc, points",
+        [
+            (bm(), (0.0, 1.0)),
+            (bm(), (-1.0, 0.2, 1.0)),
+            (bm(), (-1.0, 0.0, 0.5, 2.0)),
+            (besq(0.5), (0.5, 1.5)),
+            (besq(0.5), (0.5, 1.5, 3.0)),
+            (besq(0.0), (0.5, 1.5)),
+            (besq(1.0), (0.1, 1.0, 4.0)),
+            (besq(3.0), (0.5, 1.5, 3.0)),
+        ],
+    )
+    def test_sampler_matches_lapack_oracle(self, proc, points, monkeypatch):
+        def paths():
+            ens = sim.sample_noncolliding(proc, simple(*points), [0.0, 0.3, 1.0], 1e-3, 5000, 42)
+            return ens.paths
+
+        got = paths()
+        monkeypatch.setattr(sim, "_noncolliding_chunk", lapack_chunk)
+        want = paths()
+        _assert_close(got, want)
+        assert (np.diff(got, axis=2) > 0).all()
+        assert proc.tag == "BM" or (got > 0).all()
+
+
 class TestOptionalStopping:
     def test_horizon_consistency(self):
         xi = simple(0.0, 2.0)
