@@ -36,23 +36,20 @@ stream in time order: eigenvalues of diag(u) + H(t), H a Hermitian BM
 (N + nu) x N complex Brownian matrix M from [diag(sqrt u); 0]
 (Koenig-O'Connell 2001); for BESQ(1/2), squared positive eigenvalues of
 the class-C matrix H = [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
-B complex symmetric Brownian (Katori-Tanemura 2004).  The eigen stage
-takes every position as an eigenvalue of an N x N matrix: the Hermitian
-one, the Gram matrix M^H M, and H^2, quaternion-Hermitian P + Qj.
-``_hermitian_eigvals`` finds them for the whole chunk at once, by cyclic
-Jacobi rotations up to 3 x 3 and by LAPACK above.  The squared forms
-(Gram, H^2) carry an absolute error of about eps x_max on each position,
-x_max the largest in its time slice, so a position far below x_max keeps
-fewer correct digits than the singular values or the eigenvalues of H
-would give it.  The ordered walk is
-the h-transform of free walks, whose step weight h(x + e) / h(x) is the
-product over pairs j < k of 1 + (e_k - e_j) / (x_k - x_j).  Observables receive
-positions sorted within each time slice (the unlabeled configuration) as
-an array of shape (paths, times, particles) and must return one value
-per path.  ``_sort_particles`` does that sort: up to MAX_PARTICLES (8)
-particles, odd-even transposition over the particle columns with
-np.minimum / np.maximum, which returns the same array as np.sort; above
-that (only ``cpr_expectation`` and ``brute_force_rw`` take more) np.sort.
+B complex symmetric Brownian (Katori-Tanemura 2004).  Every position is
+an eigenvalue of an N x N matrix, found for a whole chunk at once by
+``_hermitian_eigvals``: the Hermitian one, the Gram matrix M^H M, or H^2,
+quaternion-Hermitian.  The squared forms (Gram, H^2) carry an absolute
+error of about eps x_max, x_max the largest position of the time slice.
+The ordered walk is the h-transform of free walks, whose step weight
+h(x + e) / h(x) is the product over pairs j < k of 1 + (e_k - e_j) /
+(x_k - x_j).  Observables receive positions sorted within each time slice
+(the unlabeled configuration) as an array of shape (paths, times,
+particles) and must return one value per path.  ``_sort_particles`` does
+that sort: up to MAX_PARTICLES (8) particles, odd-even transposition over
+the particle columns with np.minimum / np.maximum, which returns the same
+array as np.sort; above that (only ``cpr_expectation`` and
+``brute_force_rw`` take more) np.sort.
 """
 
 from __future__ import annotations
@@ -96,8 +93,6 @@ _MAX_CELLS = 1 << 18
 # up to this many rows ``_hermitian_eigvals`` runs Jacobi sweeps over the
 # stack; LAPACK is faster from 4 x 4 on at the sampler's chunk sizes
 _JACOBI_MAX = 3
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 _MASK64 = (1 << 64) - 1
 _COMPANION_KEY = 0x9E3779B97F4A7C15
 # the real-representation estimators take at most this many particles, and
@@ -554,9 +549,10 @@ def _matrix_model(process, u):
     n = len(u)
     if process.tag == "BM":
         return (n, n), u
+    root = np.sqrt(u)
     if process.nu == 0.5:
-        return (2 * n, 2 * n), np.sqrt(u)
-    return (n + int(process.nu), n), np.sqrt(u)
+        return (2 * n, 2 * n), root
+    return (n + int(process.nu), n), root
 
 
 def _complex_gaussian(rng, shape, var):
@@ -596,51 +592,32 @@ def _noncolliding_chunk(process, u, ts, size, rng):
     return out
 
 
-def _stack_matmul(x, y):
-    """x @ y for stacks of matrices held stack axis last."""
-    return np.einsum("ikm,kjm->ijm", x, y)
-
-
 def _model_positions(process, mat):
     """Positions, ascending (m, N), of a stack-last matrix-model state: the
     eigenvalues of the Hermitian matrix (Dyson), of the Gram matrix M^H M
     (Wishart), and for class C those of H^2 = P + Qj with P = A^2 + B conj(B)
     and Q = A B - B conj(A), each eigenvalue lambda^2 of H^2 a Kramers pair."""
+
+    def mul(x, y):  # x @ y, stack axis last
+        return np.einsum("ikm,kjm->ijm", x, y)
+
     if process.tag == "BM":
         return _hermitian_eigvals(mat)
     if process.nu != 0.5:
-        return _hermitian_eigvals(_stack_matmul(np.conj(mat).swapaxes(0, 1), mat))
+        return _hermitian_eigvals(mul(np.conj(mat).swapaxes(0, 1), mat))
     a, b = np.split(mat, 2)
-    return _hermitian_eigvals(
-        _stack_matmul(a, a) + _stack_matmul(b, np.conj(b)),
-        _stack_matmul(a, b) - _stack_matmul(b, np.conj(a)),
-    )
-
-
-def _quat_mul(x, y):
-    """x y for entries held as (P,), a complex number, or (P, Q) for P + Qj."""
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    (a, b), (c, d) = x, y
-    return (a * c - b * np.conj(d), a * d + b * np.conj(c))
-
-
-def _quat_conj(x):
-    return (np.conj(x[0]),) if len(x) == 1 else (np.conj(x[0]), -x[1])
+    return _hermitian_eigvals(mul(a, a) + mul(b, np.conj(b)), mul(a, b) - mul(b, np.conj(a)))
 
 
 def _hermitian_eigvals(p, q=None):
     """Ascending eigenvalues (m, n) of a stack of Hermitian matrices held
     stack axis last, (n, n, m): complex P, or quaternion P + Qj given as the
-    pair (P, Q), whose complex form [[P, Q], [-conj Q, conj P]] has each of
-    them twice.
+    pair (P, Q), whose complex form [[P, Q], [-conj Q, conj P]] has each twice.
 
-    Up to _JACOBI_MAX rows, cyclic Jacobi rotations run on every matrix at
-    once, one (m,) vector per entry, reading the diagonal and the upper
-    triangle only (n = 2 takes one rotation: the closed form).  Sweeps stop
-    when every matrix's off-diagonal part is below eps times its Frobenius
-    norm, which bounds each eigenvalue's error by about eps max|lambda|.
-    Above _JACOBI_MAX rows LAPACK's eigvalsh, of the complex form for P + Qj.
+    Up to _JACOBI_MAX rows, cyclic Jacobi rotations of every matrix at once
+    on the diagonal and upper triangle (n = 2: one rotation, the closed
+    form), until each off-diagonal part is below eps times the Frobenius
+    norm: an error of about eps max|lambda|.  Above that LAPACK's eigvalsh.
     """
     n = p.shape[0]
     if n > _JACOBI_MAX:
@@ -650,40 +627,49 @@ def _hermitian_eigvals(p, q=None):
             )
         lam = np.linalg.eigvalsh(np.moveaxis(p, -1, 0))
         return lam if q is None else lam[:, ::2]
-    d = [p[i, i].real for i in range(n)]
-    x = [[(p[i, j],) if q is None else (p[i, j], q[i, j]) for j in range(n)] for i in range(n)]
+
+    # an entry is (P_ij,) or (P_ij, Q_ij); these are its conjugate and products
+    def conj(x):
+        return (np.conj(x[0]),) if len(x) == 1 else (np.conj(x[0]), -x[1])
+
+    def mul(x, y):
+        if len(x) == 1:
+            return (x[0] * y[0],)
+        (a, b), (c, d) = x, y
+        return (a * c - b * np.conj(d), a * d + b * np.conj(c))
+
     pairs = list(itertools.combinations(range(n), 2))
+    d = [p[i, i].real for i in range(n)]
+    x = {}
     for i, j in pairs:
-        x[j][i] = _quat_conj(x[i][j])
+        x[i, j] = (p[i, j],) if q is None else (p[i, j], q[i, j])
+        x[j, i] = conj(x[i, j])
 
     def off():
-        return sum(np.square(v.real) + np.square(v.imag) for i, j in pairs for v in x[i][j])
+        return sum(np.square(v.real) + np.square(v.imag) for ij in pairs for v in x[ij])
 
     # off() <= tol: (eps ||A||_F)^2, the Frobenius norm kept by every rotation
-    tol = (_EPS * _EPS) * (sum(np.square(v) for v in d) + 2.0 * off()) if n > 2 else 0
-    zero = tuple(np.zeros_like(v) for v in x[0][-1])
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    tol = eps * eps * (sum(np.square(v) for v in d) + 2.0 * off()) if n > 2 else 0
+    zero = tuple(np.zeros_like(v) for v in x[0, n - 1]) if n > 1 else ()
     for _ in range(30):
         for i, j in pairs:
-            h = x[i][j]
+            h = x[i, j]
             r = np.abs(h[0]) if len(h) == 1 else np.hypot(np.abs(h[0]), np.abs(h[1]))
             delta = 0.5 * (d[j] - d[i])
             # the smaller angle, tan = g r, with g finite where h = 0
-            g = np.copysign(1.0 / np.maximum(np.abs(delta) + np.hypot(delta, r), _TINY), delta)
+            g = np.copysign(1.0 / np.maximum(np.abs(delta) + np.hypot(delta, r), tiny), delta)
             t = g * r
             c = 1.0 / np.hypot(1.0, t)
             tr = t * r
             d[i], d[j] = d[i] - tr, d[j] + tr
             # the rotation by (c, s) in the plane of h / r; tau = s (h / r) / c
             tau = tuple(g * v for v in h)
-            x[i][j] = x[j][i] = zero
-            for k in range(n):
-                if k != i and k != j:
-                    mix = _quat_mul(x[k][j], _quat_conj(tau))
-                    xi = tuple(c * (a - b) for a, b in zip(x[k][i], mix))
-                    mix = _quat_mul(x[k][i], tau)
-                    xj = tuple(c * (a + b) for a, b in zip(x[k][j], mix))
-                    x[k][i], x[i][k] = xi, _quat_conj(xi)
-                    x[k][j], x[j][k] = xj, _quat_conj(xj)
+            x[i, j] = x[j, i] = zero
+            for k in set(range(n)) - {i, j}:
+                xi = tuple(c * (a - b) for a, b in zip(x[k, i], mul(x[k, j], conj(tau))))
+                xj = tuple(c * (a + b) for a, b in zip(x[k, j], mul(x[k, i], tau)))
+                x[k, i], x[i, k], x[k, j], x[j, k] = xi, conj(xi), xj, conj(xj)
         if n <= 2 or not (off() > tol).any():
             return _sort_particles(np.stack(d, axis=-1))
     raise NumericError("Jacobi sweeps did not converge in 30 sweeps")

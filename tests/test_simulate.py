@@ -827,6 +827,10 @@ def _test_matrices(rng, m, n, kind, quaternion):
         lam = np.repeat(rng.standard_normal((m, 2)), [n - n // 2, n // 2], axis=1)
         p = (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
         q = None if q is None else 0 * q
+    elif kind == "scalar":
+        # c I: each rotation sees equal diagonal entries and a zero entry
+        p = rng.standard_normal((m, 1, 1)) * np.eye(n) + 0j
+        q = None if q is None else 0 * q
     elif kind == "tiny":
         # close diagonal entries, off-diagonal entries 1e-12 of them
         off = 1e-12 * (p - p * np.eye(n))
@@ -891,7 +895,7 @@ class TestEigenStage:
         n=st.integers(1, sim._JACOBI_MAX + 1),
         m=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["random", "diagonal", "repeated", "tiny", "graded"]),
+        kind=st.sampled_from(["random", "diagonal", "scalar", "repeated", "tiny", "graded"]),
         quaternion=st.booleans(),
     )
     def test_matches_eigvalsh(self, n, m, seed, kind, quaternion):
