@@ -259,11 +259,13 @@ def stacked_det(a) -> np.ndarray:
     """Determinants of a stack of square matrices (..., n, n), shape (...).
 
     Partial-pivoted elimination run on every matrix of the stack at once; a
-    floating or complex dtype is kept (longdouble stays longdouble), anything
-    else becomes float.  A zero pivot, hence a singular matrix, gives 0.
+    real floating dtype is kept (longdouble stays longdouble), a complex one
+    refused, anything else made float.  A zero pivot (singular) gives 0.
     """
     a = np.asarray(a)
-    if a.dtype.kind not in "fc":
+    if a.dtype.kind == "c":
+        raise DomainError("stacked_det takes real matrices")
+    if a.dtype.kind != "f":
         a = a.astype(float)
     n = a.shape[-1]
     lead = a.shape[:-2]

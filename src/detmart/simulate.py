@@ -37,10 +37,12 @@ stream in time order: eigenvalues of diag(u) + H(t), H a Hermitian BM
 (Koenig-O'Connell 2001); for BESQ(1/2), squared positive eigenvalues of
 the class-C matrix H = [[A, B], [conj B, -conj A]], A = diag(sqrt u) + H(t),
 B complex symmetric Brownian (Katori-Tanemura 2004).  Every position is
-an eigenvalue of an N x N matrix, found for a whole chunk at once by
-``_hermitian_eigvals``: the Hermitian one, the Gram matrix M^H M, or H^2,
-quaternion-Hermitian.  The squared forms (Gram, H^2) carry an absolute
-error of about eps x_max, x_max the largest position of the time slice.
+an eigenvalue of a complex Hermitian matrix, found for a whole chunk at
+once by ``_hermitian_eigvals``: the Hermitian one, the Gram matrix M^H M,
+or for class C up to N = 2 a real matrix with the spectrum of H^2 (see
+``_model_positions``) and above that H itself, its positive half squared.
+The squared forms carry an absolute error of about eps x_max, x_max the
+largest position of the time slice.
 The ordered walk is the h-transform of free walks, whose step weight
 h(x + e) / h(x) is the product over pairs j < k of 1 + (e_k - e_j) /
 (x_k - x_j).  Observables receive positions sorted within each time slice
@@ -595,8 +597,12 @@ def _noncolliding_chunk(process, u, ts, size, rng):
 def _model_positions(process, mat):
     """Positions, ascending (m, N), of a stack-last matrix-model state: the
     eigenvalues of the Hermitian matrix (Dyson), of the Gram matrix M^H M
-    (Wishart), and for class C those of H^2 = P + Qj with P = A^2 + B conj(B)
-    and Q = A B - B conj(A), each eigenvalue lambda^2 of H^2 a Kramers pair."""
+    (Wishart), and for class C the squares of the N positive eigenvalues of
+    H.  H^2 is [[P, Q], [-conj Q, conj P]] with P = A^2 + B conj(B) and Q =
+    A B - B conj(A) antisymmetric, the quaternion matrix P + Qj.  Up to N = 2
+    that is [[p_0, w], [conj w, p_1]], w = P_01 + Q_01 j, which the unitary
+    diag(1, w / |w|) makes real: P with P_01 = hypot(|P_01|, |Q_01|).  Above
+    that LAPACK on the 2N x 2N matrix H."""
 
     def mul(x, y):  # x @ y, stack axis last
         return np.einsum("ikm,kjm->ijm", x, y)
@@ -606,13 +612,20 @@ def _model_positions(process, mat):
     if process.nu != 0.5:
         return _hermitian_eigvals(mul(np.conj(mat).swapaxes(0, 1), mat))
     a, b = np.split(mat, 2)
-    return _hermitian_eigvals(mul(a, a) + mul(b, np.conj(b)), mul(a, b) - mul(b, np.conj(a)))
+    n = len(a)
+    if n > 2:
+        top, bottom = np.concatenate([a, b], 1), np.concatenate([np.conj(b), -np.conj(a)], 1)
+        return np.square(_hermitian_eigvals(np.concatenate([top, bottom]))[:, n:])
+    p = mul(a, a) + mul(b, np.conj(b))
+    if n == 2:
+        q01 = mul(a[:1], b[:, 1:]) - mul(b[:1], np.conj(a[:, 1:]))
+        p[0, 1] = p[1, 0] = np.hypot(np.abs(p[0, 1]), np.abs(q01[0, 0]))
+    return _hermitian_eigvals(p)
 
 
-def _hermitian_eigvals(p, q=None):
-    """Ascending eigenvalues (m, n) of a stack of Hermitian matrices held
-    stack axis last, (n, n, m): complex P, or quaternion P + Qj given as the
-    pair (P, Q), whose complex form [[P, Q], [-conj Q, conj P]] has each twice.
+def _hermitian_eigvals(p):
+    """Ascending eigenvalues (m, n) of a stack of complex Hermitian matrices
+    held stack axis last, (n, n, m).
 
     Up to _JACOBI_MAX rows, cyclic Jacobi rotations of every matrix at once
     on the diagonal and upper triangle (n = 2: one rotation, the closed
@@ -621,41 +634,24 @@ def _hermitian_eigvals(p, q=None):
     """
     n = p.shape[0]
     if n > _JACOBI_MAX:
-        if q is not None:
-            p = np.concatenate(
-                [np.concatenate([p, q], 1), np.concatenate([-np.conj(q), np.conj(p)], 1)]
-            )
-        lam = np.linalg.eigvalsh(np.moveaxis(p, -1, 0))
-        return lam if q is None else lam[:, ::2]
-
-    # an entry is (P_ij,) or (P_ij, Q_ij); these are its conjugate and products
-    def conj(x):
-        return (np.conj(x[0]),) if len(x) == 1 else (np.conj(x[0]), -x[1])
-
-    def mul(x, y):
-        if len(x) == 1:
-            return (x[0] * y[0],)
-        (a, b), (c, d) = x, y
-        return (a * c - b * np.conj(d), a * d + b * np.conj(c))
-
+        return np.linalg.eigvalsh(np.moveaxis(p, -1, 0))
     pairs = list(itertools.combinations(range(n), 2))
     d = [p[i, i].real for i in range(n)]
     x = {}
     for i, j in pairs:
-        x[i, j] = (p[i, j],) if q is None else (p[i, j], q[i, j])
-        x[j, i] = conj(x[i, j])
+        x[i, j], x[j, i] = p[i, j], np.conj(p[i, j])
 
     def off():
-        return sum(np.square(v.real) + np.square(v.imag) for ij in pairs for v in x[ij])
+        return sum(np.square(x[ij].real) + np.square(x[ij].imag) for ij in pairs)
 
     # off() <= tol: (eps ||A||_F)^2, the Frobenius norm kept by every rotation
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     tol = eps * eps * (sum(np.square(v) for v in d) + 2.0 * off()) if n > 2 else 0
-    zero = tuple(np.zeros_like(v) for v in x[0, n - 1]) if n > 1 else ()
+    zero = np.zeros_like(p[0, 0])
     for _ in range(30):
         for i, j in pairs:
             h = x[i, j]
-            r = np.abs(h[0]) if len(h) == 1 else np.hypot(np.abs(h[0]), np.abs(h[1]))
+            r = np.abs(h)
             delta = 0.5 * (d[j] - d[i])
             # the smaller angle, tan = g r, with g finite where h = 0
             g = np.copysign(1.0 / np.maximum(np.abs(delta) + np.hypot(delta, r), tiny), delta)
@@ -664,12 +660,12 @@ def _hermitian_eigvals(p, q=None):
             tr = t * r
             d[i], d[j] = d[i] - tr, d[j] + tr
             # the rotation by (c, s) in the plane of h / r; tau = s (h / r) / c
-            tau = tuple(g * v for v in h)
+            tau = g * h
             x[i, j] = x[j, i] = zero
             for k in set(range(n)) - {i, j}:
-                xi = tuple(c * (a - b) for a, b in zip(x[k, i], mul(x[k, j], conj(tau))))
-                xj = tuple(c * (a + b) for a, b in zip(x[k, j], mul(x[k, i], tau)))
-                x[k, i], x[i, k], x[k, j], x[j, k] = xi, conj(xi), xj, conj(xj)
+                xi = c * (x[k, i] - x[k, j] * np.conj(tau))
+                xj = c * (x[k, j] + x[k, i] * tau)
+                x[k, i], x[i, k], x[k, j], x[j, k] = xi, np.conj(xi), xj, np.conj(xj)
         if n <= 2 or not (off() > tol).any():
             return _sort_particles(np.stack(d, axis=-1))
     raise NumericError("Jacobi sweeps did not converge in 30 sweeps")

@@ -810,41 +810,32 @@ def _cgauss(rng, shape):
     return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
-def _test_matrices(rng, m, n, kind, quaternion):
-    """A stack (m, n, n) of Hermitian P, and for a quaternion an
-    antisymmetric Q (else None), of the named kind."""
+def _test_matrices(rng, m, n, kind):
+    """A stack (m, n, n) of Hermitian matrices of the named kind."""
     g = _cgauss(rng, (m, n, n))
     p = g + np.conj(np.swapaxes(g, -1, -2))
-    g = _cgauss(rng, (m, n, n))
-    q = g - np.swapaxes(g, -1, -2) if quaternion else None
     if kind == "diagonal":
         p = p * np.eye(n)
-        q = None if q is None else 0 * q
     elif kind == "repeated":
-        # U diag(lam) U^H with one eigenvalue taken at least twice; Q = 0,
-        # so that every eigenvalue of the quaternion matrix repeats too
+        # U diag(lam) U^H with one eigenvalue taken at least twice
         u = np.linalg.qr(_cgauss(rng, (m, n, n)))[0]
         lam = np.repeat(rng.standard_normal((m, 2)), [n - n // 2, n // 2], axis=1)
         p = (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
-        q = None if q is None else 0 * q
     elif kind == "scalar":
         # c I: each rotation sees equal diagonal entries and a zero entry
         p = rng.standard_normal((m, 1, 1)) * np.eye(n) + 0j
-        q = None if q is None else 0 * q
     elif kind == "tiny":
         # close diagonal entries, off-diagonal entries 1e-12 of them
         off = 1e-12 * (p - p * np.eye(n))
         p = np.eye(n) * (1.0 + 1e-9 * p.real) + off
-        q = None if q is None else 1e-12 * q
     elif kind == "graded":
         scale = 1e4 ** np.arange(n)
         p = scale[:, None] * p * scale
-        q = None if q is None else scale[:, None] * q * scale
-    return p, q
+    return p
 
 
 def _stack_last(a):
-    return None if a is None else np.ascontiguousarray(a.transpose(1, 2, 0))
+    return np.ascontiguousarray(a.transpose(1, 2, 0))
 
 
 def _assert_close(got, want, tol=1e-13):
@@ -896,18 +887,12 @@ class TestEigenStage:
         m=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["random", "diagonal", "scalar", "repeated", "tiny", "graded"]),
-        quaternion=st.booleans(),
     )
-    def test_matches_eigvalsh(self, n, m, seed, kind, quaternion):
-        p, q = _test_matrices(np.random.default_rng(seed), m, n, kind, quaternion)
-        got = sim._hermitian_eigvals(_stack_last(p), _stack_last(q))
-        if q is None:
-            want = np.linalg.eigvalsh(p)
-        else:
-            # the complex form has every eigenvalue of P + Qj twice
-            want = np.linalg.eigvalsh(np.block([[p, q], [-np.conj(q), np.conj(p)]]))[:, ::2]
+    def test_matches_eigvalsh(self, n, m, seed, kind):
+        p = _test_matrices(np.random.default_rng(seed), m, n, kind)
+        got = sim._hermitian_eigvals(_stack_last(p))
         assert (np.diff(got, axis=1) >= 0).all()
-        _assert_close(got, want)
+        _assert_close(got, np.linalg.eigvalsh(p))
 
     @pytest.mark.parametrize("nu", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -916,15 +901,48 @@ class TestEigenStage:
         got = sim._model_positions(besq(nu), _stack_last(mats))
         _assert_close(got, np.linalg.svd(mats, compute_uv=False)[:, ::-1] ** 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_class_c_route_matches_eigvalsh(self, n):
         rng = np.random.default_rng(n)
-        a, _ = _test_matrices(rng, 300, n, "random", False)
+        a = _test_matrices(rng, 300, n, "random")
         g = _cgauss(rng, (300, n, n))
         b = g + np.swapaxes(g, -1, -2)
         h = np.block([[a, b], [np.conj(b), -np.conj(a)]])
         got = sim._model_positions(besq(0.5), _stack_last(np.concatenate([a, b], axis=1)))
         _assert_close(got, np.linalg.eigvalsh(h)[:, n:] ** 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "p01_zero", "q01_zero", "both_zero", "graded"]),
+    )
+    def test_class_c_two_by_two_reduction(self, m, seed, kind):
+        # H^2 = [[P, Q], [-conj Q, conj P]] for H = [[A, B], [conj B, -conj A]],
+        # P = A^2 + B conj B and Q = A B - B conj A, has each eigenvalue twice
+        rng = np.random.default_rng(seed)
+        a = _test_matrices(rng, m, 2, "random")
+        g = _cgauss(rng, (m, 2, 2))
+        b = g + np.swapaxes(g, -1, -2)
+        if kind in ("p01_zero", "both_zero"):
+            # A diagonal: Q_01 = (a_0 - a_1) b_01 and P_01 = (B conj B)_01,
+            # 0 for B antidiagonal and both 0 for B diagonal
+            a = a * np.eye(2)
+            b = b * (np.eye(2) if kind == "both_zero" else 1 - np.eye(2))
+        elif kind == "q01_zero":
+            # A = c I: Q = c (B - B) = 0
+            a = rng.standard_normal((m, 1, 1)) * np.eye(2) + 0j
+        elif kind == "graded":
+            scale = np.array([1.0, 1e4])
+            a, b = (scale[:, None] * x * scale for x in (a, b))
+        p = a @ a + b @ np.conj(b)
+        q = a @ b - b @ np.conj(a)
+        if kind.endswith("_zero"):
+            assert (p[:, 0, 1] == 0).all() == (kind != "q01_zero")
+            assert (q[:, 0, 1] == 0).all() == (kind != "p01_zero")
+        got = sim._model_positions(besq(0.5), _stack_last(np.concatenate([a, b], axis=1)))
+        want = np.linalg.eigvalsh(np.block([[p, q], [-np.conj(q), np.conj(p)]]))[:, ::2]
+        _assert_close(got, want)
 
     @pytest.mark.parametrize(
         "proc, points",
@@ -937,6 +955,8 @@ class TestEigenStage:
             (besq(0.0), (0.5, 1.5)),
             (besq(1.0), (0.1, 1.0, 4.0)),
             (besq(3.0), (0.5, 1.5, 3.0)),
+            (besq(0.5), (0.5,)),
+            (besq(0.5), (0.5, 1.5, 3.0, 5.0)),
         ],
     )
     def test_sampler_matches_lapack_oracle(self, proc, points, monkeypatch):

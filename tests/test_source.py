@@ -9,9 +9,12 @@ detmart/1 config (``from_dict``, ``to_dict``, ``*_from_dict``) outside
 axis or a walk start outside ``processes.py``, the one module that decides
 which times and starts a process admits, and no path stream or block loop
 (``stream``, ``_run_blocks``) outside ``simulate.py``, whose estimator body
-every Monte Carlo route runs through, and no ``lru_cache`` or
+every Monte Carlo route runs through, no ``lru_cache`` or
 ``functools.cache`` function whose returned arrays no test checks
-read-only.
+read-only, and no dense eigen or singular value solver (``eigvalsh``,
+``eigh``, ``svd``) outside ``simulate._hermitian_eigvals``, the one eigen
+stage of the matrix models, and the Golub-Welsch rule of
+``quadrature.gauss_laguerre_general``.
 
 ``__init__.py`` re-exports what it imports, so its imports are exempt.
 """
@@ -320,3 +323,19 @@ def test_every_cache_is_checked_read_only():
     assert _CACHE_EXEMPT <= cached, "a stale exemption"
     unchecked = sorted(cached - checked - _CACHE_EXEMPT)
     assert not unchecked, unchecked
+
+
+_EIGEN_SOLVERS = {"eigvalsh", "eigh", "svd"}
+_EIGEN_OWNERS = {("simulate.py", "_hermitian_eigvals"), ("quadrature.py", "gauss_laguerre_general")}
+
+
+def test_one_eigen_stage():
+    stray = [
+        f"{name}:{node.lineno} calls {node.attr} in {getattr(stmt, 'name', 'module code')}"
+        for name, tree in TREES.items()
+        for stmt in tree.body
+        if (name, getattr(stmt, "name", None)) not in _EIGEN_OWNERS
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr in _EIGEN_SOLVERS
+    ]
+    assert not stray, stray
