@@ -1,16 +1,15 @@
 """Point configurations xi and the interpolation polynomials Phi built on them.
 
-A configuration is a finite multiset of real locations.  For a simple
-configuration (all multiplicities one) the polynomial
+A configuration is a finite multiset of real locations.  Its one cardinal
+basis is the Hermite one, B_{u,i}(v + w) = delta_{uv} w^i + O(w^{m_v}) at
+every atom v; for a simple configuration it is Lagrange's,
 
-    Phi_xi^u(z) = prod_{r in supp xi, r != u} (z - r) / (u - r)
+    Phi_xi^u(z) = prod_{r in supp xi, r != u} (z - r) / (u - r).
 
-is the Lagrange cardinal polynomial of the support at node u.  For
-configurations with multiple points the same object is produced by a
-residue at u of a transition-density-weighted rational function.  The
-pole at u has finite order, so the residue is a finite Taylor coefficient,
-and this module sums it exactly from the Taylor series of the density
-ratio (Hermite polynomials for BM, shifted entire Bessel series for BESQ).
+With multiple points Phi is a residue at u of a transition-density-weighted
+rational function.  The pole has finite order, so the residue is the Hermite
+interpolant sum_{i < m_u} r_i B_{u,i}, r the Taylor coefficients of the
+density ratio (Hermite polynomials for BM, shifted entire Bessel series for BESQ).
 """
 
 from __future__ import annotations
@@ -128,23 +127,27 @@ def phi_simple(xi: PointConfiguration, u: float, z):
 
 @lru_cache(maxsize=256)
 def phi_coeffs(xi: PointConfiguration) -> np.ndarray:
-    """The cardinal basis of xi: column k holds the monomial coefficients
-    (ascending powers) of Phi_xi^{u_k}; shape (N, N), read-only.
+    """The Hermite cardinal basis of xi, shape (N, N), N = total(xi), read-only:
+    columns follow ``xi.points()``, the i-th copy of the atom u holding the
+    monomial coefficients (ascending) of B_{u,i}; Phi_xi^{u_k} for simple xi.
 
-    Newton-form expansion of the Kronecker interpolation data over the
-    support, then conversion to monomials, for every column at once; this
-    keeps rounding in check for a few dozen nodes where naive product
-    expansion would not.
+    Newton-form expansion of the interpolation data over the points, then
+    conversion to monomials, for every column at once; this keeps rounding
+    in check for a few dozen nodes where naive product expansion would not.
+    A divided difference over coinciding nodes is the datum of that level.
     """
-    _require_simple(xi)
-    nodes = np.array(xi.support(), dtype=float)
+    nodes = np.array(xi.points(), dtype=float)
     n = len(nodes)
-    # divided differences of delta-at-u_k data, column k
-    dd = np.eye(n)
+    # the datum of (atom, level) is the unit vector of column first + level
+    first = np.searchsorted(nodes, nodes)
+    eye = np.eye(n)
+    dd = eye[first]
     for level in range(1, n):
         step = nodes[level:] - nodes[: n - level]
-        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / step[:, None]
+        same = step == 0.0
+        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / np.where(same, 1.0, step)[:, None]
         # in-place top-down update keeps dd[k] = f[x_{k-level} .. x_k]
+        dd[level:][same] = eye[first[level:][same] + level]
     # Horner conversion: p(z) = dd[n-1]; p = p*(z - x_k) + dd[k]
     coeffs = np.zeros((n, n))
     coeffs[0] = dd[n - 1]
@@ -167,25 +170,39 @@ def _require_simple(xi: PointConfiguration):
 # --------------------------------------------------------------------------
 
 
-def _ratio_taylor(process: ProcessKind, s: float, x: float, u: float, n: int):
-    """First n Taylor coefficients in w of R(u + w) = p(s, x | u + w) / p(s, x | u)."""
-    j = np.arange(n)
-    fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
+def ratio_taylor(process: ProcessKind, xi: PointConfiguration, s: float, x):
+    """The density ratio's Taylor coefficient of every column of ``phi_coeffs``:
+    the column of the i-th copy of the atom u gets the coefficient of w^i in
+    R(u + w) = p(s, x | u + w) / p(s, x | u); shape x.shape + (total(xi),).
+    """
+    if s <= 0:
+        raise DomainError("phi_twotime requires s > 0")
+    nodes = np.array(xi.points(), dtype=float)
+    level = np.arange(len(nodes)) - np.searchsorted(nodes, nodes)
+    j = np.arange(level.max() + 1)
+    fact = np.array([math.factorial(k) for k in j], dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
+    # coefficient j of every column on the last axis, shape x.shape + (N, j)
     if process.tag == "BM":
         # e^{2ab - b^2} = sum_j H_j(a) b^j / j!, b = w / sqrt(2s)
-        a = (x - u) / math.sqrt(2.0 * s)
-        herm = np.array([specfun.hermite(k, a) for k in range(n)])
-        return herm / (fact * (2.0 * s) ** (j / 2.0))
-    if process.tag == "BESQ":
+        a = (x - nodes) / math.sqrt(2.0 * s)
+        herm = np.stack([specfun.hermite(k, a) for k in j], axis=-1)
+        coef = herm / (fact * (2.0 * s) ** (j / 2.0))
+    elif process.tag == "BESQ":
         # e^{-w/2s} e_nu(q0 + x w / 4s^2) / e_nu(q0), and e_nu' = e_{nu+1}
         scale = 4.0 * s * s
-        q0 = x * u / scale
-        ser = np.array(
-            [specfun.entire_bessel_series(process.nu + k, q0) for k in range(n)]
+        q0 = x * nodes / scale
+        ser = np.stack(
+            [specfun.entire_bessel_series(process.nu + k, q0) for k in j], axis=-1
         )
-        ser = ser / ser[0] * (x / scale) ** j / fact
-        return np.convolve((-1.0 / (2.0 * s)) ** j / fact, ser)[:n]
-    raise DomainError("two-time Phi supports BM and BESQ only")
+        ser = ser / ser[..., :1] * (x[..., None] / scale) ** j / fact
+        decay = (-1.0 / (2.0 * s)) ** j / fact
+        coef = np.zeros_like(ser)
+        for k in j:
+            coef[..., k:] += decay[k] * ser[..., : len(j) - k]
+    else:
+        raise DomainError("two-time Phi supports BM and BESQ only")
+    return coef[..., np.arange(len(nodes)), level]
 
 
 def phi_twotime(
@@ -197,39 +214,19 @@ def phi_twotime(
     return complex(np.polyval(coeffs[::-1], complex(z)))
 
 
-@lru_cache(maxsize=4096)
 def phi_twotime_coeffs(
     process: ProcessKind, xi: PointConfiguration, s: float, x: float
 ) -> np.ndarray:
     """Two-time Phi of every atom: column k holds the monomial coefficients
     (ascending) of z -> Phi((s, x); z) at the k-th atom u; shape
-    (total(xi), number of atoms), read-only.
+    (total(xi), number of atoms).
 
-    Phi = prod_{r != u} (z - r)^{m_r} sum_{j < m_u} c_j (z - u)^j, where c
-    holds the first m_u Taylor coefficients in w of
-    R(u + w) prod_{r != u} (u - r + w)^{-m_r}, R the density ratio.
+    The residue is the Hermite interpolant of R at u and of 0 at the other
+    atoms, so Phi = sum_{i < m_u} r_i B_{u,i} with r = ``ratio_taylor`` and
+    B = ``phi_coeffs``.
     """
-    if s <= 0:
-        raise DomainError("phi_twotime requires s > 0")
-    out = np.empty((xi.total(), len(xi.atoms)))
-    for k, (u, m_u) in enumerate(xi.atoms):
-        others = [(r, m) for r, m in xi.atoms if r != u]
-        c = _ratio_taylor(process, s, x, u, m_u)
-        j = np.arange(m_u)
-        for r, m in others:
-            binom = np.array([math.comb(m + i - 1, i) for i in range(m_u)], dtype=float)
-            c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
-        # monomials by Horner in (z - u), then one factor (z - r) at a time
-        poly = c[-1:]
-        for cj in c[-2::-1]:
-            poly = np.convolve(poly, [-u, 1.0])
-            poly[0] += cj
-        for r, m in others:
-            for _ in range(m):
-                poly = np.convolve(poly, [-r, 1.0])
-        out[:, k] = poly
-    out.setflags(write=False)
-    return out
+    starts = np.cumsum([0] + [m for _, m in xi.atoms[:-1]])
+    return np.add.reduceat(phi_coeffs(xi) * ratio_taylor(process, xi, s, x), starts, axis=1)
 
 
 # --------------------------------------------------------------------------

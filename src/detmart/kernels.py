@@ -187,8 +187,9 @@ def kernel_eval_grid(
         return kernel_sine(t - s, y - x)
     if v == "bessel":
         return kernel_bessel(kern.nu, t - s, y, x)
-    # finite configurations: sum_u p(s, x | u) M^u(t, y), where M^u has
-    # monomial coefficients cmat[:, k] (depending on (s, x) for multipoint)
+    # finite configurations: sum_k p(s, x | u_k) r_k M_k(t, y) over the points
+    # u_k of xi, M_k the martingale of basis column k and r_k the density
+    # ratio's Taylor coefficient of that column (1 where xi is simple)
     proc, xi = kern.process, kern.xi
     mask = None
     if v == "rw":
@@ -197,14 +198,11 @@ def kernel_eval_grid(
         mask = np.outer(_rw_parity_ok(s, xs - u0), _rw_parity_ok(t, ys - u0))
         if not mask.any():
             return np.zeros(mask.shape)
-    pvals = specfun.transition_density(proc, s, xs[:, None], np.array(xi.support()))
-    if v == "multipoint":
-        cmat = np.stack(
-            [cfg.phi_twotime_coeffs(proc, xi, float(s), float(xv)) for xv in xs]
-        )
-    else:
-        cmat = cfg.phi_coeffs(xi)
-    mvals = mart.poly_values(proc, cmat.shape[-2] - 1, t, ys) @ cmat
+    pvals = specfun.transition_density(proc, s, xs[:, None], np.array(xi.points()))
+    if not xi.simple():
+        pvals = pvals * cfg.ratio_taylor(proc, xi, s, xs)
+    cmat = cfg.phi_coeffs(xi)
+    mvals = mart.poly_values(proc, len(cmat) - 1, t, ys) @ cmat
     out = (mvals @ pvals[:, :, None])[..., 0]
     if s > t:
         out -= specfun.transition_density(proc, s - t, x, y)

@@ -10,8 +10,8 @@ are (local) martingales along the process:
 The martingale map of a simple configuration xi at support point u is
 M_xi^u(t, y) = sum_l c_l m_l(t, y) with c the column of u in the cardinal
 basis of xi (``configurations.phi_coeffs``); a two-time variant covers
-configurations with multiple points through the residue polynomials of
-``configurations``.
+configurations with multiple points through the residue polynomials
+``configurations.phi_twotime_coeffs`` built on the same basis.
 """
 
 from __future__ import annotations

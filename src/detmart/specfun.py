@@ -381,8 +381,10 @@ def transition_density(process: ProcessKind, t, y, x):
         k = (steps + d) / 2.0
         ok = (k == np.floor(k)) & (np.abs(d) <= steps)
         k = np.where(ok, k, 0.0).astype(int)
-        log_fact = np.array([math.lgamma(j + 1.0) for j in range(steps + 1)])
-        log_p = log_fact[steps] - log_fact[k] - log_fact[steps - k] - steps * math.log(2.0)
+        # log j! only at the j that occur: a table up to steps costs O(steps)
+        need, at = np.unique(np.stack([k, steps - k]), return_inverse=True)
+        lk, lrest = np.array([math.lgamma(j + 1.0) for j in need])[at.reshape((2,) + k.shape)]
+        log_p = math.lgamma(steps + 1.0) - lk - lrest - steps * math.log(2.0)
         out = np.where(ok, np.exp(log_p), 0.0)
         return float(out) if out.ndim == 0 else out
     if t == 0.0:

@@ -57,24 +57,63 @@ def single_node_phi_coeffs(xi, u):
     return coeffs
 
 
-def single_atom_twotime_coeffs(process, xi, u, s, x):
-    """The one-atom residue polynomial that ``phi_twotime_coeffs``
-    replaced: the reference for its column of u."""
-    u, m_u = xi.atoms[xi.index(u)]
-    others = [(r, m) for r, m in xi.atoms if r != u]
-    c = cfg._ratio_taylor(process, s, x, u, m_u)
-    j = np.arange(m_u)
-    for r, m in others:
-        binom = np.array([math.comb(m + k - 1, k) for k in range(m_u)], dtype=float)
-        c = np.convolve(c, (-1.0) ** j * binom / (u - r) ** (m + j))[:m_u]
-    poly = c[-1:]
-    for cj in c[-2::-1]:
-        poly = np.convolve(poly, [-u, 1.0])
-        poly[0] += cj
-    for r, m in others:
-        for _ in range(m):
-            poly = np.convolve(poly, [-r, 1.0])
-    return poly
+def taylor_at(coeffs, v, order):
+    """The first ``order`` Taylor coefficients at v of the polynomials in the
+    columns of ``coeffs`` (ascending powers); shape (order, columns)."""
+    P = np.polynomial.polynomial
+    return np.array(
+        [P.polyval(v, P.polyder(coeffs, i)) / math.factorial(i) for i in range(order)]
+    )
+
+
+# two-time Phi coefficients, one column per atom, by the residue formula at
+# 40 digits in mpmath: the Taylor coefficients of
+# R(u + w) prod_{r != u} (u - r + w)^{-m_r} from ``mpmath.taylor`` (BESQ's
+# density ratio through ``hyp0f1``), multiplied out exactly and rounded
+_TWOTIME_TABLE = [
+    (bm(), ((-1.0, 2), (0.5, 1), (1.7, 3)), 0.6, 0.9, [
+        [0.4945901802834181, 1.2636316872427984, -0.9801540763697193],
+        [-1.4505984671863856, 0.2973251028806584, 0.9197046332518568],
+        [0.7102726360969516, -1.88451646090535, 2.718836027893971],
+        [0.7515039298812097, 0.1363168724279836, -0.7988057470161317],
+        [-0.7364881520244017, 0.7973251028806585, -1.1745306628581536],
+        [0.16746920166114396, -0.25720164609053503, 0.4432524024303733],
+    ]),
+    (bm(), ((0.0, 3),), 0.7, -0.4, [
+        [1.0],
+        [-0.5714285714285715],
+        [-0.5510204081632654],
+    ]),
+    (bm(), ((-0.5, 1), (1.0, 2)), 1.3, 2.2, [
+        [0.4444444444444444, 0.24786324786324782],
+        [-0.8888888888888888, 0.5811965811965811],
+        [0.4444444444444444, 0.170940170940171],
+    ]),
+    (besq(0.0), ((0.3, 2), (1.5, 2)), 0.8, 1.1, [
+        [0.8847597803687556, 0.24617466864482618],
+        [1.0794543582791407, -1.7636142367287253],
+        [-2.6189521848638617, 3.5516059566972964],
+        [1.0040595846388807, -1.3605531010727867],
+    ]),
+    (besq(0.0), ((0.0, 2), (2.0, 1)), 0.5, 0.7, [
+        [1.0, 0.0],
+        [-0.30000000000000004, 0.0],
+        [-0.09999999999999998, 0.25],
+    ]),
+    (besq(1.0), ((0.3, 2), (1.5, 2)), 0.9, 2.5, [
+        [0.8674184901858593, 0.24009709927031397],
+        [1.1603803791326568, -1.7190453946489692],
+        [-2.7037318257580214, 3.457065988649329],
+        [1.0297503849098382, -1.3155340686689927],
+    ]),
+    (besq(1.0), ((0.4, 1), (1.2, 3), (2.6, 1)), 1.1, 0.6, [
+        [3.988636363636364, -3.9274888067307283, 0.11449774715080833],
+        [-11.50568181818182, 15.464143480294494, -0.5724887357540417],
+        [12.144886363636367, -17.067005996340093, 0.9541478929234027],
+        [-5.504261363636365, 7.907910020575222, -0.6626027034190297],
+        [0.887784090909091, -1.3106979409948445, 0.16565067585475743],
+    ]),
+]
 
 
 @st.composite
@@ -213,6 +252,24 @@ class TestPhiCoeffs:
         for k, u in enumerate(xi.support()):
             assert np.array_equal(basis[:, k], single_node_phi_coeffs(xi, u))
 
+    @settings(max_examples=200, deadline=None)
+    @given(points=separated_points(4, -5.0, 0.3), data=st.data())
+    def test_hermite_interpolation_on_multisets(self, points, data):
+        # B_{u,i}(v + w) = delta_{uv} w^i + O(w^{m_v}), columns in the
+        # order of xi.points(); rounding is relative to sum |c_k| (1 + |v|)^k
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(points),
+                                   max_size=len(points)))
+        xi = cfg.PointConfiguration(tuple(zip(points, mults)))
+        basis = cfg.phi_coeffs(xi)
+        n = xi.total()
+        assert basis.shape == (n, n)
+        first = 0
+        for v, m in xi.atoms:
+            err = np.abs(taylor_at(basis, v, m) - np.eye(n)[first : first + m])
+            scale = np.polynomial.polynomial.polyval(1.0 + abs(v), np.abs(basis))
+            assert (err <= 1e-12 * scale).all(), (xi.atoms, v)
+            first += m
+
 
 class TestPhiTwoTime:
     def test_simple_reduces_to_phi(self):
@@ -312,23 +369,13 @@ class TestPhiTwoTime:
         with pytest.raises(DomainError):
             cfg.phi_twotime(rw(), simple(0.0, 2.0), 0.0, 1.0, 0.0, 1.0)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        process=st.sampled_from([bm(), besq(0.0), besq(1.0)]),
-        points=separated_points(4, 0.2, 0.3),
-        data=st.data(),
-        s=st.floats(0.2, 2.0),
-        x=st.floats(0.1, 3.0),
-    )
-    def test_columns_bit_equal_single_atom(self, process, points, data, s, x):
-        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(points),
-                                   max_size=len(points)))
-        xi = cfg.PointConfiguration(tuple(zip(points, mults)))
-        basis = cfg.phi_twotime_coeffs(process, xi, s, x)
-        assert basis.shape == (xi.total(), len(xi.atoms))
-        for k, u in enumerate(xi.support()):
-            want = single_atom_twotime_coeffs(process, xi, u, s, x)
-            assert np.array_equal(basis[:, k], want)
+    def test_columns_match_mpmath_table(self):
+        for process, atoms, s, x, want in _TWOTIME_TABLE:
+            want = np.array(want)
+            got = cfg.phi_twotime_coeffs(process, cfg.PointConfiguration(atoms), s, x)
+            assert got.shape == want.shape
+            err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+            assert err.max() <= 1e-14, (process, atoms, err)
 
 
 class TestCannedConfigurations:

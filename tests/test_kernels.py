@@ -107,7 +107,6 @@ class TestKernelEval:
         "cached",
         [
             lambda xi: cfg.phi_coeffs(xi),
-            lambda xi: cfg.phi_twotime_coeffs(bm(), xi, 1.0, 0.5),
             lambda xi: quadrature.gauss_legendre(8)[1],
             lambda xi: quadrature.gauss_hermite(8)[0],
             lambda xi: quadrature.gauss_laguerre_general(0.5, 8)[1],
@@ -168,6 +167,18 @@ class TestKernelGrid:
                     assert grid[i, j] == pytest.approx(
                         ker.kernel_eval(k, s, xv, t, yv), rel=1e-12
                     )
+
+    @pytest.mark.parametrize("process, points", [
+        (bm(), [-1.0, 0.3, 2.0]), (besq(0.5), [0.2, 1.1, 2.5]),
+    ], ids=["bm", "besq"])
+    def test_multipoint_of_simple_xi_is_general_to_the_bit(self, process, points):
+        xi = cfg.PointConfiguration.from_points(points)
+        general = ker.general_kernel(process, xi)
+        multi = ker.multipoint_kernel(process, xi)
+        xs, ys = np.linspace(0.1, 2.9, 7), np.linspace(0.2, 3.1, 5)
+        for s, t in ((0.6, 1.3), (1.3, 0.6), (0.9, 0.9)):
+            want = ker.kernel_eval_grid(general, s, xs, t, ys)
+            assert np.array_equal(ker.kernel_eval_grid(multi, s, xs, t, ys), want)
 
     def test_bessel_equal_time_origin_raises(self):
         k = ker.bessel_kernel(0.5)

@@ -395,6 +395,32 @@ class TestTransitionDensity:
             assert np.allclose(grid, want, rtol=rw_rtol(t), atol=0.0)
         assert isinstance(specfun.transition_density(rw(), 3, 1, 0), float)
 
+    def test_rw_bit_equal_to_log_factorial_table(self):
+        # the lgamma table up to t that the sparse lookup replaced
+        for t in range(201):
+            ys = np.arange(-t - 3, t + 4, dtype=float)[:, None]
+            xs = np.array([-2.0, 0.0, 1.0, 0.5])
+            d = ys - xs
+            k = (t + d) / 2.0
+            ok = (k == np.floor(k)) & (np.abs(d) <= t)
+            k = np.where(ok, k, 0.0).astype(int)
+            log_fact = np.array([math.lgamma(j + 1.0) for j in range(t + 1)])
+            log_p = log_fact[t] - log_fact[k] - log_fact[t - k] - t * math.log(2.0)
+            want = np.where(ok, np.exp(log_p), 0.0)
+            assert np.array_equal(specfun.transition_density(rw(), t, ys, xs), want)
+
+    def test_rw_lgamma_calls_scale_with_the_grid(self, monkeypatch):
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        ys = np.arange(-6.0, 7.0)
+        for t in (10**6, 10**8):
+            calls.clear()
+            probs = specfun.transition_density(rw(), t, ys, 0.0)
+            assert len(calls) <= 2 * ys.size + 1
+            # the mass near the centre: sqrt(2 / (pi t)) on every other site
+            assert probs[6] == pytest.approx(math.sqrt(2.0 / (math.pi * t)), rel=1e-5)
+
     def test_bm_normalization_quadrature(self):
         nodes, weights = np.polynomial.legendre.leggauss(200)
         a, b = -12.0, 12.0
